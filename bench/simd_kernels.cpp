@@ -1,8 +1,11 @@
 // Explicit-SIMD kernel microbench: the hot kernel classes of the dispatch
-// layer (batched lane sweep, fused Jacobi scale+swap, residual cmul_add)
-// timed per compiled ISA on real phage-lambda propensity data, with the
-// bitwise-parity contract re-checked against the scalar table on every
-// measured buffer.
+// layer (batched lane sweep, fused Jacobi scale+swap, residual cmul_add,
+// and the sweep-epilogue damped Jacobi update) timed per compiled ISA on
+// real phage-lambda propensity data, with the bitwise-parity contract
+// re-checked against the scalar table on every measured buffer. The
+// epilogue updates are further checked against the unfused passes they
+// replace: jacobi_update_damped against scale_swap's new iterate,
+// jacobi_update_masked against the division on d == -1, y == +0 rows.
 //
 // The per-ISA throughputs are wall-clock and land in the volatile section
 // of the bench ledger; the deterministic section carries only the
@@ -36,6 +39,7 @@ using namespace cmesolve;
 namespace {
 
 constexpr std::size_t kLanes = 8;
+constexpr real_t kOmega = 0.95;  // the damping the landscape solve uses
 constexpr std::int64_t kGrain = 512;  // matches the batched operator's chunk
 
 core::models::PhageLambdaParams params_for(core::models::SuiteScale scale) {
@@ -98,7 +102,7 @@ int main(int argc, char** argv) {
     coef[i] = 0.5 + static_cast<real_t>(i % 7) * 0.25;
   }
   util::aligned_vector<real_t> x(nk), y(nk), y_ref(nk), d(nk), nx(nk),
-      resid(nk), ref(nk);
+      resid(nk), ref(nk), upd(nk);
   for (std::size_t i = 0; i < nk; ++i) {
     x[i] = 1.0 / static_cast<real_t>(3 + (i % 13));
     d[i] = -1.0 - static_cast<real_t>(i % 5) * 0.125;
@@ -117,14 +121,16 @@ int main(int argc, char** argv) {
   const double sweep_mb =
       static_cast<double>(n) * sizeof(real_t) * (nr + 2.0 * kLanes) / 1e6;
   const double pass_mb = 3.0 * nk * sizeof(real_t) / 1e6;
+  // jacobi_update_damped: y, x, d in, y out.
+  const double update_mb = 4.0 * nk * sizeof(real_t) / 1e6;
 
   std::printf(
       "Explicit-SIMD kernel layer: box rows %lld, %zu reactions, K=%zu "
       "lanes (phage-lambda, scale=%s)\nactive dispatch: %s\n\n"
-      "%-8s %5s  %12s %12s %12s  %s\n",
+      "%-8s %5s  %12s %12s %12s %12s  %s\n",
       static_cast<long long>(n), nr, kLanes, scale.c_str(),
       util::simd::active_isa_name(), "isa", "width", "sweep", "scale_swap",
-      "cmul_add", "parity");
+      "cmul_add", "update", "parity");
 
   // Scalar reference outputs, captured once.
   const util::simdk::KernelOps& sk =
@@ -140,8 +146,26 @@ int main(int argc, char** argv) {
   std::fill(resid.begin(), resid.end(), 0.25);
   sk.cmul_add(resid.data(), d.data(), x.data(), nk);
   util::aligned_vector<real_t> cm_ref(resid);
-
+  // Epilogue updates. jacobi_update_damped on (x, y_ref) must give the
+  // iterate scale_swap_damped writes into x; jacobi_update_masked on
+  // d == -1, y == +0 rows the damped update's value there.
+  upd.assign(y_ref.begin(), y_ref.end());
+  sk.jacobi_update_damped(upd.data(), x.data(), d.data(), kOmega, nk);
+  util::aligned_vector<real_t> upd_ref(upd);
   bool parity = true;
+  {
+    util::aligned_vector<real_t> sx(x), snx(y_ref);
+    sk.scale_swap_damped(sx.data(), snx.data(), d.data(), kOmega, nk);
+    const util::aligned_vector<real_t> minus_one(nk, -1.0);
+    util::aligned_vector<real_t> divided(nk, 0.0), shortcut(nk, 0.0);
+    sk.jacobi_update_damped(divided.data(), x.data(), minus_one.data(),
+                            kOmega, nk);
+    sk.jacobi_update_masked(shortcut.data(), x.data(), kOmega, nk);
+    parity = bitwise_equal(upd_ref.data(), sx.data(), nk) &&
+             bitwise_equal(divided.data(), shortcut.data(), nk);
+  }
+  const bool unfused_ok = parity;
+
   for (const util::simd::Isa isa : util::simd::compiled_isas()) {
     if (!util::simd::force_isa(isa)) continue;  // compiled in, CPU lacks it
     const util::simdk::KernelOps& ko = util::simdk::kernels_for(isa);
@@ -164,17 +188,26 @@ int main(int argc, char** argv) {
     });
     const bool ok_cm = bitwise_equal(resid.data(), cm_ref.data(), nk);
 
-    const bool ok = ok_sweep && ok_ss && ok_cm;
+    const real_t t_up = best_of(5, [&] {
+      upd.assign(y_ref.begin(), y_ref.end());
+      ko.jacobi_update_damped(upd.data(), x.data(), d.data(), kOmega, nk);
+    });
+    const bool ok_up = bitwise_equal(upd.data(), upd_ref.data(), nk);
+
+    const bool ok = ok_sweep && ok_ss && ok_cm && ok_up;
     parity = parity && ok;
-    std::printf("%-8s %5d  %9.3f ms %9.1f GB/s %9.1f GB/s  %s\n", ko.name,
-                ko.width, t_sweep * 1e3, pass_mb / 1e3 / t_ss,
-                pass_mb / 1e3 / t_cm, ok ? "PASS" : "FAIL");
+    std::printf(
+        "%-8s %5d  %9.3f ms %9.1f GB/s %9.1f GB/s %9.1f GB/s  %s\n",
+        ko.name, ko.width, t_sweep * 1e3, pass_mb / 1e3 / t_ss,
+        pass_mb / 1e3 / t_cm, update_mb / 1e3 / t_up, ok ? "PASS" : "FAIL");
     const std::string prefix = std::string("simd_kernels.") + ko.name;
     obs::gauge(prefix + ".sweep_gbps", sweep_mb / 1e3 / t_sweep,
                /*is_volatile=*/true);
     obs::gauge(prefix + ".scale_swap_gbps", pass_mb / 1e3 / t_ss,
                /*is_volatile=*/true);
     obs::gauge(prefix + ".cmul_add_gbps", pass_mb / 1e3 / t_cm,
+               /*is_volatile=*/true);
+    obs::gauge(prefix + ".update_gbps", update_mb / 1e3 / t_up,
                /*is_volatile=*/true);
   }
   util::simd::reset_forced_isa();
@@ -209,9 +242,11 @@ int main(int argc, char** argv) {
   obs::gauge("simd_kernels.lanes", static_cast<real_t>(kLanes));
   obs::gauge("simd_kernels.parity", parity ? 1.0 : 0.0);
 
-  std::printf("\ngates:\n  bitwise parity vs scalar, all ISAs      %s\n"
+  std::printf("\ngates:\n  epilogue updates == unfused passes      %s\n"
+              "  bitwise parity vs scalar, all ISAs      %s\n"
               "simd_kernels: %s\n",
-              parity ? "PASS" : "FAIL", parity ? "PASS" : "FAIL");
+              unfused_ok ? "PASS" : "FAIL", parity ? "PASS" : "FAIL",
+              parity ? "PASS" : "FAIL");
   obs::flush_outputs();
   return parity ? 0 : 1;
 }

@@ -258,7 +258,8 @@ void StencilOperator::compile() {
 
 void StencilOperator::sweep_recompute(std::span<const real_t> x,
                                       std::span<real_t> y,
-                                      aligned_vector<real_t>* cache_out) const {
+                                      aligned_vector<real_t>* cache_out,
+                                      const SweepEpilogue* epi) const {
   const Program& P = *program_;
   const auto n = static_cast<std::size_t>(table_.box_rows());
   const std::int64_t rf = P.rf;
@@ -298,8 +299,10 @@ void StencilOperator::sweep_recompute(std::span<const real_t> x,
   // dispatch-independent.
   const util::simdk::KernelOps& KO = util::simdk::kernels();
 
-  util::parallel_for(
-      n,
+  // A reducing epilogue needs every kReduceChunk chunk walked by one task;
+  // otherwise the alignment of 1 leaves parallel_for's chunking.
+  util::parallel_for_aligned(
+      n, epi ? epi->align() : 1,
       [&](std::size_t cb, std::size_t ce) {
         real_t* yv = nullptr;
         const real_t* xv = nullptr;
@@ -369,18 +372,39 @@ void StencilOperator::sweep_recompute(std::span<const real_t> x,
               break;
             }
           }
+          // The tile's law-valid j-range; a chunk's share of the tile is
+          // clipped to it below.
+          std::int64_t tj_lo = 0;
+          std::int64_t tj_hi = rj;
+          if (valid) {
+            for (const auto& lc : P.j_laws) {
+              clip_window(tj_lo, tj_hi, base[lc.sp], lc.sJ, 0, lc.cap);
+            }
+          }
+          // A tile with no valid row is wholly masked: every row fails a law
+          // check row_valid() also applies, so d == -1 there, and y == +0
+          // from the fill below — the epilogue's masked-block promise. It is
+          // a property of the whole tile, so the rows flagged masked do not
+          // depend on the chunking (skip_masked relies on that).
+          const bool masked = !valid || tj_lo >= tj_hi;
+          if (masked && epi && epi->skip_masked()) continue;
           if (yv) {
             std::fill(y.begin() + static_cast<std::ptrdiff_t>(tbase + row_lo),
                       y.begin() + static_cast<std::ptrdiff_t>(tbase + row_hi),
                       0.0);
           }
-          if (!valid) continue;
-          std::int64_t jv_lo = row_lo / rf;
-          std::int64_t jv_hi = (row_hi + rf - 1) / rf;
-          for (const auto& lc : P.j_laws) {
-            clip_window(jv_lo, jv_hi, base[lc.sp], lc.sJ, 0, lc.cap);
+          const std::size_t blk_lo = static_cast<std::size_t>(tbase + row_lo);
+          const std::size_t blk_hi = static_cast<std::size_t>(tbase + row_hi);
+          if (masked) {
+            if (epi) (*epi)(blk_lo, blk_hi, true);
+            continue;
           }
-          if (jv_lo >= jv_hi) continue;
+          const std::int64_t jv_lo = std::max(tj_lo, row_lo / rf);
+          const std::int64_t jv_hi = std::min(tj_hi, (row_hi + rf - 1) / rf);
+          if (jv_lo >= jv_hi) {
+            if (epi) (*epi)(blk_lo, blk_hi, false);
+            continue;
+          }
           for (std::int64_t j = jv_lo; j < jv_hi; ++j) {
             std::int64_t lo = std::max<std::int64_t>(0, row_lo - j * rf);
             std::int64_t hi = std::min<std::int64_t>(rf, row_hi - j * rf);
@@ -645,39 +669,51 @@ void StencilOperator::sweep_recompute(std::span<const real_t> x,
               }
             }
           }
+          // The tile's rows are final: run the epilogue while they are hot.
+          if (epi) (*epi)(blk_lo, blk_hi, false);
         }
       },
       kSweepGrain);
 }
 
 void StencilOperator::sweep_cached(std::span<const real_t> x,
-                                   std::span<real_t> y) const {
+                                   std::span<real_t> y,
+                                   const SweepEpilogue* epi) const {
   const Program& P = *program_;
   const auto n = static_cast<std::int64_t>(table_.box_rows());
   const util::simdk::KernelOps& KO = util::simdk::kernels();
-  util::parallel_for(
-      static_cast<std::size_t>(n),
+  const auto body = [&](std::size_t cb, std::size_t ce) {
+    std::fill(y.begin() + static_cast<std::ptrdiff_t>(cb),
+              y.begin() + static_cast<std::ptrdiff_t>(ce), 0.0);
+    // Per-row accumulation order is the reaction order for every
+    // chunking, matching the recompute sweep (cached zeros where that
+    // sweep skips change nothing). Each reaction's window is a
+    // contiguous shifted multiply-add — the explicit-SIMD cmul_add
+    // kernel, vectorized across rows.
+    const real_t* xv = x.data();
+    real_t* yv = y.data();
+    for (std::size_t k = 0; k < P.rx.size(); ++k) {
+      const std::int64_t s = P.rx[k].stride;
+      const std::int64_t lo = std::max<std::int64_t>(
+          static_cast<std::int64_t>(cb), s > 0 ? s : 0);
+      const std::int64_t hi = std::min<std::int64_t>(
+          static_cast<std::int64_t>(ce), s < 0 ? n + s : n);
+      if (hi <= lo) continue;
+      const real_t* ck = cache_.data() + k * static_cast<std::size_t>(n);
+      KO.cmul_add(yv + lo, ck + lo - s, xv + lo - s,
+                  static_cast<std::size_t>(hi - lo));
+    }
+  };
+  util::parallel_for_aligned(
+      static_cast<std::size_t>(n), epi ? epi->align() : 1,
       [&](std::size_t cb, std::size_t ce) {
-        std::fill(y.begin() + static_cast<std::ptrdiff_t>(cb),
-                  y.begin() + static_cast<std::ptrdiff_t>(ce), 0.0);
-        // Per-row accumulation order is the reaction order for every
-        // chunking, matching the recompute sweep (cached zeros where that
-        // sweep skips change nothing). Each reaction's window is a
-        // contiguous shifted multiply-add — the explicit-SIMD cmul_add
-        // kernel, vectorized across rows.
-        const real_t* xv = x.data();
-        real_t* yv = y.data();
-        for (std::size_t k = 0; k < P.rx.size(); ++k) {
-          const std::int64_t s = P.rx[k].stride;
-          const std::int64_t lo =
-              std::max<std::int64_t>(static_cast<std::int64_t>(cb),
-                                     s > 0 ? s : 0);
-          const std::int64_t hi = std::min<std::int64_t>(
-              static_cast<std::int64_t>(ce), s < 0 ? n + s : n);
-          if (hi <= lo) continue;
-          const real_t* ck = cache_.data() + k * static_cast<std::size_t>(n);
-          KO.cmul_add(yv + lo, ck + lo - s, xv + lo - s,
-                      static_cast<std::size_t>(hi - lo));
+        // Fused, the reaction-outer walk runs over kSweepGrain-row blocks so
+        // each block is still cache-resident when its epilogue reads it.
+        const std::size_t step = epi ? kSweepGrain : ce - cb;
+        for (std::size_t b = cb; b < ce; b += step) {
+          const std::size_t e = std::min(ce, b + step);
+          body(b, e);
+          if (epi) (*epi)(b, e, false);
         }
       },
       kSweepGrain);
@@ -687,16 +723,26 @@ void StencilOperator::multiply(std::span<const real_t> x,
                                std::span<real_t> y) const {
   CMESOLVE_TRACE_SPAN("stencil.sweep");
   if (mode_ == StencilMode::kPropensityCache) {
-    sweep_cached(x, y);
+    sweep_cached(x, y, nullptr);
   } else {
-    sweep_recompute(x, y, nullptr);
+    sweep_recompute(x, y, nullptr, nullptr);
+  }
+}
+
+void StencilOperator::multiply(std::span<const real_t> x, std::span<real_t> y,
+                               SweepEpilogue epi) const {
+  CMESOLVE_TRACE_SPAN("stencil.sweep");
+  if (mode_ == StencilMode::kPropensityCache) {
+    sweep_cached(x, y, &epi);
+  } else {
+    sweep_recompute(x, y, nullptr, &epi);
   }
 }
 
 void StencilOperator::build_cache() {
   cache_.assign(
       program_->rx.size() * static_cast<std::size_t>(table_.box_rows()), 0.0);
-  sweep_recompute({}, {}, &cache_);
+  sweep_recompute({}, {}, &cache_, nullptr);
 }
 
 void StencilOperator::compute_inf_norm() {
@@ -705,7 +751,7 @@ void StencilOperator::compute_inf_norm() {
   const auto n = static_cast<std::size_t>(table_.box_rows());
   const std::vector<real_t> ones(n, 1.0);
   std::vector<real_t> rowsum(n, 0.0);
-  sweep_recompute(ones, rowsum, nullptr);
+  sweep_recompute(ones, rowsum, nullptr, nullptr);
   const auto d = table_.diag();
   inf_norm_ = util::parallel_reduce(
       n, kReduceChunk, real_t{0.0},
@@ -836,28 +882,55 @@ MaskedStencilOperator::MaskedStencilOperator(
 
 void MaskedStencilOperator::multiply(std::span<const real_t> x,
                                      std::span<real_t> y) const {
+  sweep(x, y, nullptr);
+}
+
+void MaskedStencilOperator::multiply(std::span<const real_t> x,
+                                     std::span<real_t> y,
+                                     SweepEpilogue epi) const {
+  sweep(x, y, &epi);
+}
+
+void MaskedStencilOperator::sweep(std::span<const real_t> x,
+                                  std::span<real_t> y,
+                                  const SweepEpilogue* epi) const {
   CMESOLVE_TRACE_SPAN("stencil.sweep");
   const auto& rx = table_->reactions();
   const auto n = static_cast<std::int64_t>(table_->box_rows());
   const util::simdk::KernelOps& KO = util::simdk::kernels();
-  util::parallel_for(
-      static_cast<std::size_t>(n),
+  const auto body = [&](std::size_t cb, std::size_t ce) {
+    std::fill(y.begin() + static_cast<std::ptrdiff_t>(cb),
+              y.begin() + static_cast<std::ptrdiff_t>(ce), 0.0);
+    const real_t* xv = x.data();
+    real_t* yv = y.data();
+    for (std::size_t k = 0; k < rx.size(); ++k) {
+      const std::int64_t s = rx[k].stride;
+      const std::int64_t lo = std::max<std::int64_t>(
+          static_cast<std::int64_t>(cb), s > 0 ? s : 0);
+      const std::int64_t hi = std::min<std::int64_t>(
+          static_cast<std::int64_t>(ce), s < 0 ? n + s : n);
+      if (hi <= lo) continue;
+      const real_t* ck = cache_.data() + k * static_cast<std::size_t>(n);
+      KO.cmul_add(yv + lo, ck + lo - s, xv + lo - s,
+                  static_cast<std::size_t>(hi - lo));
+    }
+  };
+  const auto rb = static_cast<std::size_t>(return_box_);
+  // The return row is final only after the sink reduction below; it and the
+  // rest of its kReduceChunk chunk hold their epilogue until then, so the
+  // chunk's rows still reach a fused reduction in row order.
+  const std::size_t hold_hi = std::min(
+      static_cast<std::size_t>(n), (rb / kReduceChunk + 1) * kReduceChunk);
+  util::parallel_for_aligned(
+      static_cast<std::size_t>(n), epi ? epi->align() : 1,
       [&](std::size_t cb, std::size_t ce) {
-        std::fill(y.begin() + static_cast<std::ptrdiff_t>(cb),
-                  y.begin() + static_cast<std::ptrdiff_t>(ce), 0.0);
-        const real_t* xv = x.data();
-        real_t* yv = y.data();
-        for (std::size_t k = 0; k < rx.size(); ++k) {
-          const std::int64_t s = rx[k].stride;
-          const std::int64_t lo =
-              std::max<std::int64_t>(static_cast<std::int64_t>(cb),
-                                     s > 0 ? s : 0);
-          const std::int64_t hi = std::min<std::int64_t>(
-              static_cast<std::int64_t>(ce), s < 0 ? n + s : n);
-          if (hi <= lo) continue;
-          const real_t* ck = cache_.data() + k * static_cast<std::size_t>(n);
-          KO.cmul_add(yv + lo, ck + lo - s, xv + lo - s,
-                      static_cast<std::size_t>(hi - lo));
+        const std::size_t step = epi ? kSweepGrain : ce - cb;
+        for (std::size_t b = cb; b < ce; b += step) {
+          const std::size_t e = std::min(ce, b + step);
+          body(b, e);
+          if (!epi) continue;
+          if (b < rb) (*epi)(b, std::min(e, rb), false);
+          if (e > hold_hi) (*epi)(std::max(b, hold_hi), e, false);
         }
       },
       kSweepGrain);
@@ -871,8 +944,8 @@ void MaskedStencilOperator::multiply(std::span<const real_t> x,
         return acc;
       },
       [](real_t a, real_t b) { return a + b; });
-  const auto rb = static_cast<std::size_t>(return_box_);
   y[rb] += sink - leak_[rb] * x[rb];
+  if (epi) (*epi)(rb, hold_hi, false);
 }
 
 void MaskedStencilOperator::scatter_from_members(std::span<const real_t> from,

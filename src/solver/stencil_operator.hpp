@@ -25,6 +25,7 @@
 #include "core/state_space.hpp"
 #include "core/stencil.hpp"
 #include "solver/gmres.hpp"
+#include "solver/sweep_epilogue.hpp"
 #include "util/aligned_vector.hpp"
 #include "util/types.hpp"
 
@@ -61,6 +62,11 @@ class StencilOperator {
     return table_.offdiag_nnz();
   }
   void multiply(std::span<const real_t> x, std::span<real_t> y) const;
+  /// Fused sweep: `epi` runs on every tile (recompute mode) or
+  /// kSweepGrain-row block (cache mode) as soon as its rows are final;
+  /// wholly masked tiles are flagged masked (sweep_epilogue.hpp).
+  void multiply(std::span<const real_t> x, std::span<real_t> y,
+                SweepEpilogue epi) const;
 
   [[nodiscard]] const core::StencilTable& table() const noexcept {
     return table_;
@@ -99,8 +105,10 @@ class StencilOperator {
   void build_cache();
   void compute_inf_norm();
   void sweep_recompute(std::span<const real_t> x, std::span<real_t> y,
-                       aligned_vector<real_t>* cache_out) const;
-  void sweep_cached(std::span<const real_t> x, std::span<real_t> y) const;
+                       aligned_vector<real_t>* cache_out,
+                       const SweepEpilogue* epi) const;
+  void sweep_cached(std::span<const real_t> x, std::span<real_t> y,
+                    const SweepEpilogue* epi) const;
 
   core::StencilTable table_;
   StencilMode mode_;
@@ -158,6 +166,10 @@ class MaskedStencilOperator {
     return offdiag_nnz_;
   }
   void multiply(std::span<const real_t> x, std::span<real_t> y) const;
+  /// Fused sweep: `epi` runs per kSweepGrain-row block; the return row's
+  /// block waits for the sink reduction (sweep_epilogue.hpp).
+  void multiply(std::span<const real_t> x, std::span<real_t> y,
+                SweepEpilogue epi) const;
 
   [[nodiscard]] real_t inf_norm() const noexcept { return inf_norm_; }
   /// Box row of member j.
@@ -177,6 +189,9 @@ class MaskedStencilOperator {
                          std::span<real_t> to) const;
 
  private:
+  void sweep(std::span<const real_t> x, std::span<real_t> y,
+             const SweepEpilogue* epi) const;
+
   const core::StencilTable* table_;
   index_t members_ = 0;
   index_t return_box_ = 0;

@@ -81,19 +81,24 @@ class InlineRegion {
 void parallel_tasks(int ntasks, const std::function<void(int)>& task);
 
 /// Chunked parallel loop: fn(begin, end) over disjoint subranges covering
-/// [0, n). Use for element-wise work whose result is independent of the
-/// chunking (stores to disjoint indices). `grain` is a minimum chunk size;
-/// chunks may be larger when n is big, so do not rely on chunk boundaries.
+/// [0, n), with interior chunk boundaries at multiples of `align` (the last
+/// chunk ends at n). A fixed-chunk reduction fused into the loop body — see
+/// solver/sweep_epilogue.hpp — then sees each of its `align`-row chunks
+/// walked in index order by one task. `grain` is a minimum chunk size;
+/// chunks may be larger when n is big.
 template <class Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 4096) {
+void parallel_for_aligned(std::size_t n, std::size_t align, Fn&& fn,
+                          std::size_t grain = 4096) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
+  if (align == 0) align = 1;
   const int t = max_threads();
   // Cap the chunk count: element-wise loops do not need fine-grained
   // balancing, and fewer chunks means fewer std::function dispatches.
   const std::size_t min_grain =
       n / (8 * static_cast<std::size_t>(t) + 1) + 1;
-  const std::size_t g = grain > min_grain ? grain : min_grain;
+  std::size_t g = grain > min_grain ? grain : min_grain;
+  g = (g + align - 1) / align * align;
   const std::size_t nchunks = (n + g - 1) / g;
   if (nchunks <= 1 || t <= 1 || in_parallel_region()) {
     fn(std::size_t{0}, n);
@@ -104,6 +109,14 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 4096) {
     const std::size_t e = b + g < n ? b + g : n;
     fn(b, e);
   });
+}
+
+/// Chunked parallel loop for element-wise work whose result is independent
+/// of the chunking (stores to disjoint indices); do not rely on chunk
+/// boundaries.
+template <class Fn>
+void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 4096) {
+  parallel_for_aligned(n, 1, std::forward<Fn>(fn), grain);
 }
 
 /// Deterministic ordered reduction. [0, n) is split into FIXED chunks of

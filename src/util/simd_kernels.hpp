@@ -64,6 +64,18 @@ struct KernelOps {
   /// formula is NOT bitwise the undamped one (signed-zero differences).
   void (*scale_swap_damped)(real_t* x, real_t* nx, const real_t* d,
                             real_t omega, std::size_t n);
+  /// Sweep-epilogue Jacobi update, in place on the sweep output:
+  /// y[i] = -y[i]/d[i] — scale_swap's value, without the swap.
+  void (*jacobi_update)(real_t* y, const real_t* d, std::size_t n);
+  /// Damped: y[i] = (1-omega)*x[i] - (omega*y[i])/d[i] (scale_swap_damped's
+  /// value).
+  void (*jacobi_update_damped)(real_t* y, const real_t* x, const real_t* d,
+                               real_t omega, std::size_t n);
+  /// Damped update of rows known to hold d == -1 and y == +0 (wholly masked
+  /// stencil tiles): y[i] = (1-omega)*x[i] - c with c = (omega*0.0)/(-1.0)
+  /// formed once — bitwise jacobi_update_damped on those rows, no division.
+  void (*jacobi_update_masked)(real_t* y, const real_t* x, real_t omega,
+                               std::size_t n);
   /// Lane-masked scale+swap over an interleaved [rows][k] block: active
   /// lanes get the scale_swap update, frozen lanes keep their bits
   /// (mask mapped onto SIMD blends; frozen nx lanes receive x's bits —

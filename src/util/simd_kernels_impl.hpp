@@ -161,6 +161,54 @@ void scale_swap_damped(real_t* x, real_t* nx, const real_t* d, real_t omega,
   }
 }
 
+void jacobi_update(real_t* y, const real_t* d, std::size_t n) {
+  std::size_t i = 0;
+  if constexpr (kW > 1) {
+    for (; i + kW <= n; i += kW) {
+      (V::load(y + i).neg() / V::load(d + i)).store(y + i);
+    }
+  }
+  for (; i < n; ++i) {
+    y[i] = -y[i] / d[i];
+  }
+}
+
+void jacobi_update_damped(real_t* y, const real_t* x, const real_t* d,
+                          real_t omega, std::size_t n) {
+  const real_t w1 = 1.0 - omega;
+  std::size_t i = 0;
+  if constexpr (kW > 1) {
+    const V vw1 = V::broadcast(w1);
+    const V vom = V::broadcast(omega);
+    for (; i + kW <= n; i += kW) {
+      (vw1 * V::load(x + i) - (vom * V::load(y + i)) / V::load(d + i))
+          .store(y + i);
+    }
+  }
+  for (; i < n; ++i) {
+    y[i] = w1 * x[i] - (omega * y[i]) / d[i];
+  }
+}
+
+void jacobi_update_masked(real_t* y, const real_t* x, real_t omega,
+                          std::size_t n) {
+  const real_t w1 = 1.0 - omega;
+  // (omega * y[i]) / d[i] at y[i] == +0, d[i] == -1: one value for the
+  // whole block.
+  const real_t c = (omega * 0.0) / -1.0;
+  std::size_t i = 0;
+  if constexpr (kW > 1) {
+    const V vw1 = V::broadcast(w1);
+    const V vc = V::broadcast(c);
+    for (; i + kW <= n; i += kW) {
+      (vw1 * V::load(x + i) - vc).store(y + i);
+    }
+  }
+  for (; i < n; ++i) {
+    y[i] = w1 * x[i] - c;
+  }
+}
+
 void lane_scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t rows,
                      std::size_t k, const std::uint8_t* lane_active) {
   if constexpr (kW > 1) {
@@ -334,6 +382,9 @@ void batched_sweep(const BatchedSweepArgs& a, std::int64_t cb,
     full_hi = std::min(full_hi, rs[r].hi);
     s_min = std::min(s_min, s);
   }
+  // A reaction whose window starts past the chunk (stride beyond ce) must
+  // not drag the leading face loop into rows later chunks own.
+  full_lo = std::min(full_lo, ce);
   if (full_hi < full_lo) full_hi = full_lo;
 
   // With ~2 streams per reaction (unit table + lagged x window) the stream
@@ -598,6 +649,9 @@ const KernelOps kOps = {
     &scale,
     &scale_swap,
     &scale_swap_damped,
+    &jacobi_update,
+    &jacobi_update_damped,
+    &jacobi_update_masked,
     &lane_scale_swap,
     &lane_scale_swap_damped,
     &lane_scale,

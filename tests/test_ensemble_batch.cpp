@@ -14,6 +14,7 @@
 #include "solver/vector_ops.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace cmesolve::solver {
 namespace {
@@ -400,6 +401,59 @@ TEST(EnsembleBatch, MultiplyActivePartialLanesMatchesFullSweep) {
   }
   EXPECT_TRUE(bitwise_equal(y_t1, y_part));
   EXPECT_TRUE(bitwise_equal(y_t8, y_part));
+}
+
+TEST(EnsembleBatch, RowOuterSweepMatchesPerLaneStencilAtEveryThreadCountAndIsa) {
+  // Phage lambda 6/3 at K = 4 puts the sweep's stream footprint over the
+  // 8 MB row-outer threshold, and its slow-digit strides exceed a parallel
+  // chunk: a reaction window that starts past the chunk end must not drag
+  // the leading face loop into rows later chunks own.
+  core::models::PhageLambdaParams params;
+  params.cap_ci = params.cap_cro = 6;
+  params.cap_ci2 = params.cap_cro2 = 3;
+  const auto net = core::models::phage_lambda(params);
+  const StencilOperator anchor(net, core::models::phage_lambda_initial(params));
+  const auto rates = rate_variants(net, 4);
+  const EnsembleStructure structure(anchor.table());
+  const BatchedStencilOperator op(structure, rates);
+  const auto n = static_cast<std::size_t>(op.nrows());
+  const auto kk = static_cast<std::size_t>(op.batch());
+  ASSERT_GT(static_cast<double>(n) * sizeof(real_t) *
+                (2.0 * static_cast<double>(kk) +
+                 static_cast<double>(anchor.table().reactions().size())),
+            8.0 * 1024 * 1024);
+
+  Xoshiro256 rng(11);
+  std::vector<real_t> x(n * kk);
+  for (auto& v : x) v = rng.uniform(0.0, 1.0);
+  // Per-lane reference: the single-RHS cached sweep of each point.
+  std::vector<std::vector<real_t>> lane_y(kk, std::vector<real_t>(n));
+  for (std::size_t q = 0; q < kk; ++q) {
+    const StencilOperator lane(core::StencilTable(anchor.table(), rates[q]),
+                               StencilMode::kPropensityCache);
+    std::vector<real_t> xq(n);
+    for (std::size_t i = 0; i < n; ++i) xq[i] = x[i * kk + q];
+    ThreadGuard serial(1);
+    lane.multiply(xq, lane_y[q]);
+  }
+  for (const util::simd::Isa isa : util::simd::compiled_isas()) {
+    for (const int threads : {1, 2, 4, 8}) {
+      ThreadGuard guard(threads);
+      if (!util::simd::force_isa(isa)) continue;  // compiled in, CPU lacks it
+      std::vector<real_t> y(n * kk, -1.0);
+      op.multiply(x, y);
+      util::simd::reset_forced_isa();
+      std::size_t mismatches = 0;
+      for (std::size_t q = 0; q < kk; ++q) {
+        for (std::size_t i = 0; i < n; ++i) {
+          mismatches += std::memcmp(&y[i * kk + q], &lane_y[q][i],
+                                    sizeof(real_t)) != 0;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "isa=" << util::simd::to_string(isa)
+                                << " threads=" << threads;
+    }
+  }
 }
 
 TEST(EnsembleBatch, ContinuationOrderIsDeterministicPermutation) {
