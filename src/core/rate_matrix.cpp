@@ -1,7 +1,9 @@
 #include "core/rate_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,9 +15,80 @@ namespace cmesolve::core {
 
 namespace {
 
-/// States per assembly chunk. Fixed (thread-count independent) so the
-/// triplet stream below is always concatenated in the same order.
+/// States per assembly chunk. Fixed (thread-count independent) so every
+/// chunked pass writes the same values at any thread count.
 constexpr index_t kAssemblyChunk = 2048;
+
+/// Number of kAssemblyChunk chunks covering [0, n).
+int chunks_of(index_t n) {
+  return static_cast<int>(n > 0 ? (n + kAssemblyChunk - 1) / kAssemblyChunk
+                                : 0);
+}
+
+/// The one CSR builder of every CME generator. `column(j, add)` calls
+/// add(i, v) for each entry of column j — source state j's successors, in
+/// stencil order, then its diagonal. A counting pass sizes each row, then a
+/// fill pass walks the sources in ascending order, so every row's columns
+/// land sorted with no index sort. A repeated (i, j) — two reactions with
+/// the same net change — can only come from one column, so it is merged
+/// into the entry it follows: duplicates sum in stencil order.
+template <class Column>
+sparse::Csr csr_from_columns(index_t n, const Column& column) {
+  sparse::Csr m;
+  m.nrows = n;
+  m.ncols = n;
+  m.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  // Pass 1: distinct entries per row; last[i] is the last column that
+  // touched row i.
+  std::vector<index_t> last(static_cast<std::size_t>(n), index_t{-1});
+  for (index_t j = 0; j < n; ++j) {
+    column(j, [&](index_t i, real_t) {
+      if (last[static_cast<std::size_t>(i)] == j) return;
+      last[static_cast<std::size_t>(i)] = j;
+      ++m.row_ptr[static_cast<std::size_t>(i) + 1];
+    });
+  }
+  for (index_t r = 0; r < n; ++r) {
+    m.row_ptr[static_cast<std::size_t>(r) + 1] +=
+        m.row_ptr[static_cast<std::size_t>(r)];
+  }
+  const auto nnz = static_cast<std::size_t>(m.row_ptr.back());
+  m.col_idx.resize(nnz);
+  m.val.resize(nnz);
+  // Pass 2: `last` becomes each row's fill cursor.
+  std::copy(m.row_ptr.begin(), m.row_ptr.end() - 1, last.begin());
+  for (index_t j = 0; j < n; ++j) {
+    column(j, [&](index_t i, real_t v) {
+      index_t& c = last[static_cast<std::size_t>(i)];
+      const bool repeat = c > m.row_ptr[static_cast<std::size_t>(i)] &&
+                          m.col_idx[static_cast<std::size_t>(c - 1)] == j;
+      if (repeat) {
+        m.val[static_cast<std::size_t>(c - 1)] += v;
+      } else {
+        m.col_idx[static_cast<std::size_t>(c)] = j;
+        m.val[static_cast<std::size_t>(c)] = v;
+        ++c;
+      }
+    });
+  }
+  return m;
+}
+
+void check_in_sync(const ProjectedRateMatrix& matrix,
+                   const DynamicStateSpace& space, const char* caller) {
+  if (matrix.cached_states() != space.size()) {
+    throw std::logic_error(
+        std::string("ProjectedRateMatrix::") + caller +
+        ": stencil cache out of sync; call extend()/compact() after every "
+        "space mutation");
+  }
+}
+
+void record_projected(const sparse::Csr& a) {
+  obs::count("core.projected.assemblies");
+  obs::gauge("core.projected.last.rows", static_cast<real_t>(a.nrows));
+  obs::gauge("core.projected.last.nnz", static_cast<real_t>(a.nnz()));
+}
 
 }  // namespace
 
@@ -30,26 +103,28 @@ sparse::Csr rate_matrix(const StateSpace& space) {
   const int nr = net.num_reactions();
 
   // Propensity evaluation and successor lookup dominate assembly time and
-  // are independent per source state, so states are carved into fixed
-  // chunks, each chunk fills a private triplet buffer, and the buffers are
-  // concatenated in chunk order — the exact triplet sequence the serial
-  // loop would emit, hence an identical CSR after sort_and_combine.
+  // are independent per source state, so they run in fixed chunks, each
+  // appending its states' successors (row index and rate, in reaction
+  // order) to private lists. A chunk reserves its worst case, one entry per
+  // reaction, and touches only the entries it writes. State j's diagonal is
+  // the negated sum of its rates in the same order.
   // (StateSpace::find is a const hash lookup, safe for concurrent reads.)
-  const index_t nchunks = n > 0 ? (n + kAssemblyChunk - 1) / kAssemblyChunk : 0;
-  std::vector<sparse::Coo> parts(static_cast<std::size_t>(nchunks));
-
-  util::parallel_tasks(static_cast<int>(nchunks), [&](int c) {
+  struct Chunk {
+    std::vector<std::size_t> end;  ///< per state: one past its last entry
+    std::vector<index_t> target;
+    std::vector<real_t> rate;
+  };
+  std::vector<Chunk> chunks(static_cast<std::size_t>(chunks_of(n)));
+  util::parallel_tasks(chunks_of(n), [&](int c) {
     const index_t j0 = static_cast<index_t>(c) * kAssemblyChunk;
     const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
-    sparse::Coo& part = parts[static_cast<std::size_t>(c)];
-    // Every state emits at most one triplet per reaction plus its diagonal,
-    // so this reserve is an exact upper bound: the fill pass below never
-    // reallocates, whatever the network density.
-    part.reserve(static_cast<std::size_t>(j1 - j0) *
-                 static_cast<std::size_t>(nr + 1));
+    Chunk& chunk = chunks[static_cast<std::size_t>(c)];
+    const auto states = static_cast<std::size_t>(j1 - j0);
+    chunk.end.reserve(states);
+    chunk.target.reserve(states * static_cast<std::size_t>(nr));
+    chunk.rate.reserve(states * static_cast<std::size_t>(nr));
     for (index_t j = j0; j < j1; ++j) {
       const State x = space.state(j);
-      real_t out_rate = 0.0;
       for (int k = 0; k < nr; ++k) {
         if (!net.within_capacity(k, x)) continue;
         const real_t a = net.propensity(k, x);
@@ -59,26 +134,24 @@ sparse::Csr rate_matrix(const StateSpace& space) {
           throw std::logic_error("rate_matrix: successor not enumerated");
         }
         if (i == j) continue;  // null transition (no net state change)
-        part.add(i, j, a);
-        out_rate += a;
+        chunk.target.push_back(i);
+        chunk.rate.push_back(a);
       }
-      part.add(j, j, -out_rate);
+      chunk.end.push_back(chunk.target.size());
     }
   });
 
-  sparse::Coo coo;
-  coo.nrows = n;
-  coo.ncols = n;
-  std::size_t total = 0;
-  for (const sparse::Coo& part : parts) total += part.nnz();
-  coo.reserve(total);
-  for (sparse::Coo& part : parts) {
-    coo.row.insert(coo.row.end(), part.row.begin(), part.row.end());
-    coo.col.insert(coo.col.end(), part.col.begin(), part.col.end());
-    coo.val.insert(coo.val.end(), part.val.begin(), part.val.end());
-    part = sparse::Coo{};  // release chunk memory eagerly
-  }
-  sparse::Csr csr = sparse::csr_from_coo(std::move(coo));
+  sparse::Csr csr = csr_from_columns(n, [&](index_t j, auto&& add) {
+    const Chunk& chunk = chunks[static_cast<std::size_t>(j / kAssemblyChunk)];
+    const auto local = static_cast<std::size_t>(j % kAssemblyChunk);
+    real_t out_rate = 0.0;
+    for (std::size_t s = local > 0 ? chunk.end[local - 1] : 0;
+         s < chunk.end[local]; ++s) {
+      add(chunk.target[s], chunk.rate[s]);
+      out_rate += chunk.rate[s];
+    }
+    add(j, -out_rate);
+  });
   obs::count("core.rate_matrix.assemblies");
   obs::observe("core.rate_matrix.nnz", static_cast<real_t>(csr.nnz()));
   obs::gauge("core.rate_matrix.last.rows", static_cast<real_t>(csr.nrows));
@@ -115,10 +188,9 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
     std::vector<real_t> total_rate;
   };
   const index_t added = n - old_n;
-  const index_t nchunks = (added + kAssemblyChunk - 1) / kAssemblyChunk;
-  std::vector<Chunk> chunks(static_cast<std::size_t>(nchunks));
+  std::vector<Chunk> chunks(static_cast<std::size_t>(chunks_of(added)));
 
-  util::parallel_tasks(static_cast<int>(nchunks), [&](int c) {
+  util::parallel_tasks(chunks_of(added), [&](int c) {
     const index_t j0 = old_n + static_cast<index_t>(c) * kAssemblyChunk;
     const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
     Chunk& chunk = chunks[static_cast<std::size_t>(c)];
@@ -154,6 +226,24 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
                       chunk.succ_rate.end());
     chunk = Chunk{};
   }
+  succ_index_.resize(succ_rate_.size(), index_t{-1});
+
+  // Resolve every slot still outside the set: all of the new states' slots,
+  // and the old states' slots that pointed past the old boundary (the states
+  // just added may be their successors). Slots are independent, so the
+  // chunks write disjoint entries.
+  const auto ns = static_cast<std::size_t>(num_species_);
+  util::parallel_tasks(chunks_of(n), [&](int c) {
+    const index_t j0 = static_cast<index_t>(c) * kAssemblyChunk;
+    const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
+    State next(ns);
+    for (std::size_t s = stencil_ptr_[static_cast<std::size_t>(j0)];
+         s < stencil_ptr_[static_cast<std::size_t>(j1)]; ++s) {
+      if (succ_index_[s] >= 0) continue;
+      std::copy_n(succ_state_.data() + s * ns, ns, next.data());
+      succ_index_[s] = space.find(next);
+    }
+  });
   obs::count("core.projected.extends");
   obs::count("core.projected.states_cached",
              static_cast<std::uint64_t>(added));
@@ -169,6 +259,7 @@ void ProjectedRateMatrix::compact(const std::vector<index_t>& remap) {
   std::vector<std::size_t> new_ptr{0};
   std::vector<std::int32_t> new_succ;
   std::vector<real_t> new_rate;
+  std::vector<index_t> new_index;
   std::vector<real_t> new_total;
   for (std::size_t j = 0; j < old_n; ++j) {
     if (remap[j] < 0) continue;
@@ -180,172 +271,87 @@ void ProjectedRateMatrix::compact(const std::vector<index_t>& remap) {
                     succ_state_.begin() + static_cast<std::ptrdiff_t>(e * ns));
     new_rate.insert(new_rate.end(), succ_rate_.begin() + static_cast<std::ptrdiff_t>(b),
                     succ_rate_.begin() + static_cast<std::ptrdiff_t>(e));
+    // A successor that was pruned is outside the set again.
+    for (std::size_t s = b; s < e; ++s) {
+      const index_t i = succ_index_[s];
+      new_index.push_back(i < 0 ? i : remap[static_cast<std::size_t>(i)]);
+    }
     new_ptr.push_back(new_ptr.back() + (e - b));
     new_total.push_back(total_rate_[j]);
   }
   stencil_ptr_ = std::move(new_ptr);
   succ_state_ = std::move(new_succ);
   succ_rate_ = std::move(new_rate);
+  succ_index_ = std::move(new_index);
   total_rate_ = std::move(new_total);
+}
+
+std::vector<real_t> ProjectedRateMatrix::leaked_rates() const {
+  const auto n = static_cast<std::size_t>(cached_states());
+  std::vector<real_t> leaked(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t s = stencil_ptr_[j]; s < stencil_ptr_[j + 1]; ++s) {
+      if (succ_index_[s] < 0) leaked[j] += succ_rate_[s];
+    }
+  }
+  return leaked;
 }
 
 ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble(
     const DynamicStateSpace& space, index_t return_state) const {
   CMESOLVE_TRACE_SPAN("core.projected.assemble");
+  check_in_sync(*this, space, "assemble");
   const index_t n = space.size();
-  if (cached_states() != n) {
-    throw std::logic_error(
-        "ProjectedRateMatrix::assemble: stencil cache out of sync; call "
-        "extend()/compact() after every space mutation");
-  }
   if (return_state < 0 || return_state >= n) {
     throw std::invalid_argument(
         "ProjectedRateMatrix::assemble: return_state not a member");
   }
-  const auto ns = static_cast<std::size_t>(num_species_);
-
   Assembly out;
-  out.outflow.assign(static_cast<std::size_t>(n), 0.0);
-
-  const index_t nchunks = n > 0 ? (n + kAssemblyChunk - 1) / kAssemblyChunk : 0;
-  std::vector<sparse::Coo> parts(static_cast<std::size_t>(nchunks));
-
-  util::parallel_tasks(static_cast<int>(nchunks), [&](int c) {
-    const index_t j0 = static_cast<index_t>(c) * kAssemblyChunk;
-    const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
-    sparse::Coo& part = parts[static_cast<std::size_t>(c)];
-    // Exact capacity from the stencil cache: each row emits its cached
-    // successors plus at most a leak redirect and the diagonal.
-    part.reserve(stencil_ptr_[static_cast<std::size_t>(j1)] -
-                 stencil_ptr_[static_cast<std::size_t>(j0)] +
-                 2 * static_cast<std::size_t>(j1 - j0));
-    State next(ns);
-    for (index_t j = j0; j < j1; ++j) {
-      const std::size_t b = stencil_ptr_[static_cast<std::size_t>(j)];
-      const std::size_t e = stencil_ptr_[static_cast<std::size_t>(j) + 1];
-      real_t leaked = 0.0;
-      for (std::size_t s = b; s < e; ++s) {
-        for (std::size_t sp = 0; sp < ns; ++sp) {
-          next[sp] = succ_state_[s * ns + sp];
-        }
-        const real_t a = succ_rate_[s];
-        const index_t i = space.find(next);
-        if (i >= 0) {
-          part.add(i, j, a);
-        } else {
-          leaked += a;
-        }
-      }
-      // Redirect the leaked flux to the return state (a j->j redirect is a
-      // self-loop, which cancels against the diagonal).
-      if (leaked > 0.0 && return_state != j) {
-        part.add(return_state, j, leaked);
-      }
-      const real_t diag = -(total_rate_[static_cast<std::size_t>(j)] -
-                            (return_state == j ? leaked : 0.0));
-      part.add(j, j, diag);
-      out.outflow[static_cast<std::size_t>(j)] = leaked;
+  out.outflow = leaked_rates();
+  out.a = csr_from_columns(n, [&](index_t j, auto&& add) {
+    const auto ju = static_cast<std::size_t>(j);
+    for (std::size_t s = stencil_ptr_[ju]; s < stencil_ptr_[ju + 1]; ++s) {
+      if (succ_index_[s] >= 0) add(succ_index_[s], succ_rate_[s]);
     }
+    // Redirect the leaked flux to the return state (a j->j redirect is a
+    // self-loop, which cancels against the diagonal).
+    const real_t leaked = out.outflow[ju];
+    if (leaked > 0.0 && return_state != j) add(return_state, leaked);
+    add(j, -(total_rate_[ju] - (return_state == j ? leaked : 0.0)));
   });
-
-  sparse::Coo coo;
-  coo.nrows = n;
-  coo.ncols = n;
-  std::size_t total = 0;
-  for (const sparse::Coo& part : parts) total += part.nnz();
-  coo.reserve(total);
-  for (sparse::Coo& part : parts) {
-    coo.row.insert(coo.row.end(), part.row.begin(), part.row.end());
-    coo.col.insert(coo.col.end(), part.col.begin(), part.col.end());
-    coo.val.insert(coo.val.end(), part.val.begin(), part.val.end());
-    part = sparse::Coo{};
-  }
-  out.a = sparse::csr_from_coo(std::move(coo));
-  obs::count("core.projected.assemblies");
-  obs::gauge("core.projected.last.rows", static_cast<real_t>(out.a.nrows));
-  obs::gauge("core.projected.last.nnz", static_cast<real_t>(out.a.nnz()));
+  record_projected(out.a);
   return out;
 }
 
 ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble_absorbing(
     const DynamicStateSpace& space) const {
   CMESOLVE_TRACE_SPAN("core.projected.assemble_absorbing");
-  const index_t n = space.size();
-  if (cached_states() != n) {
-    throw std::logic_error(
-        "ProjectedRateMatrix::assemble_absorbing: stencil cache out of "
-        "sync; call extend()/compact() after every space mutation");
-  }
-  const auto ns = static_cast<std::size_t>(num_species_);
-
+  check_in_sync(*this, space, "assemble_absorbing");
   Assembly out;
-  out.outflow.assign(static_cast<std::size_t>(n), 0.0);
-
-  const index_t nchunks = n > 0 ? (n + kAssemblyChunk - 1) / kAssemblyChunk : 0;
-  std::vector<sparse::Coo> parts(static_cast<std::size_t>(nchunks));
-
-  util::parallel_tasks(static_cast<int>(nchunks), [&](int c) {
-    const index_t j0 = static_cast<index_t>(c) * kAssemblyChunk;
-    const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
-    sparse::Coo& part = parts[static_cast<std::size_t>(c)];
-    part.reserve(stencil_ptr_[static_cast<std::size_t>(j1)] -
-                 stencil_ptr_[static_cast<std::size_t>(j0)] +
-                 static_cast<std::size_t>(j1 - j0));
-    State next(ns);
-    for (index_t j = j0; j < j1; ++j) {
-      const std::size_t b = stencil_ptr_[static_cast<std::size_t>(j)];
-      const std::size_t e = stencil_ptr_[static_cast<std::size_t>(j) + 1];
-      real_t leaked = 0.0;
-      for (std::size_t s = b; s < e; ++s) {
-        for (std::size_t sp = 0; sp < ns; ++sp) {
-          next[sp] = succ_state_[s * ns + sp];
-        }
-        const real_t a = succ_rate_[s];
-        const index_t i = space.find(next);
-        if (i >= 0) {
-          part.add(i, j, a);
-        } else {
-          leaked += a;
-        }
-      }
-      // The leak stays in the diagonal (column sums to -leaked): dropped
-      // flux is absorbed by the implicit sink state, never redirected.
-      part.add(j, j, -total_rate_[static_cast<std::size_t>(j)]);
-      out.outflow[static_cast<std::size_t>(j)] = leaked;
+  out.outflow = leaked_rates();
+  // The leak stays in the diagonal (column sums to -leaked): dropped flux is
+  // absorbed by the implicit sink state, never redirected.
+  out.a = csr_from_columns(space.size(), [&](index_t j, auto&& add) {
+    const auto ju = static_cast<std::size_t>(j);
+    for (std::size_t s = stencil_ptr_[ju]; s < stencil_ptr_[ju + 1]; ++s) {
+      if (succ_index_[s] >= 0) add(succ_index_[s], succ_rate_[s]);
     }
+    add(j, -total_rate_[ju]);
   });
-
-  sparse::Coo coo;
-  coo.nrows = n;
-  coo.ncols = n;
-  std::size_t total = 0;
-  for (const sparse::Coo& part : parts) total += part.nnz();
-  coo.reserve(total);
-  for (sparse::Coo& part : parts) {
-    coo.row.insert(coo.row.end(), part.row.begin(), part.row.end());
-    coo.col.insert(coo.col.end(), part.col.begin(), part.col.end());
-    coo.val.insert(coo.val.end(), part.val.begin(), part.val.end());
-    part = sparse::Coo{};
-  }
-  out.a = sparse::csr_from_coo(std::move(coo));
-  obs::count("core.projected.assemblies");
-  obs::gauge("core.projected.last.rows", static_cast<real_t>(out.a.nrows));
-  obs::gauge("core.projected.last.nnz", static_cast<real_t>(out.a.nnz()));
+  record_projected(out.a);
   return out;
 }
 
 void ProjectedRateMatrix::out_of_set_successors(const DynamicStateSpace& space,
                                                 index_t j,
                                                 std::vector<State>& out) const {
+  check_in_sync(*this, space, "out_of_set_successors");
   const auto ns = static_cast<std::size_t>(num_species_);
-  const std::size_t b = stencil_ptr_[static_cast<std::size_t>(j)];
-  const std::size_t e = stencil_ptr_[static_cast<std::size_t>(j) + 1];
-  State next(ns);
-  for (std::size_t s = b; s < e; ++s) {
-    for (std::size_t sp = 0; sp < ns; ++sp) {
-      next[sp] = succ_state_[s * ns + sp];
-    }
-    if (space.find(next) < 0) out.push_back(next);
+  const auto ju = static_cast<std::size_t>(j);
+  for (std::size_t s = stencil_ptr_[ju]; s < stencil_ptr_[ju + 1]; ++s) {
+    if (succ_index_[s] >= 0) continue;
+    const std::int32_t* first = succ_state_.data() + s * ns;
+    out.emplace_back(first, first + ns);
   }
 }
 

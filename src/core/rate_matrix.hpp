@@ -13,7 +13,9 @@
 namespace cmesolve::core {
 
 /// Assemble A in CSR (row-major) from an enumerated state space. The DFS
-/// enumeration order is preserved, exposing the {-1, 0, +1} band.
+/// enumeration order is preserved, exposing the {-1, 0, +1} band. Two
+/// reactions with the same net change add their rates into one entry, in
+/// reaction order.
 /// Throws when the space was truncated mid-enumeration (the matrix would
 /// leak probability at the artificial boundary).
 [[nodiscard]] sparse::Csr rate_matrix(const StateSpace& space);
@@ -28,10 +30,11 @@ namespace cmesolve::core {
 /// states and propensities — depends only on j and the network, never on
 /// which other states are members. Stencils are therefore computed once
 /// when a state enters the set (extend()) and reused by every subsequent
-/// assemble(): a round's rebuild after expansion/pruning costs hash lookups
-/// plus CSR construction, with no propensity re-evaluation for surviving
-/// states, and compact() drops the stencils of pruned states in step with
-/// the space's renumbering.
+/// assemble(), and each cached successor is resolved to its member index
+/// once: extend() looks up only the slots still outside the set, and
+/// compact() renumbers the resolved ones in step with the space. A round's
+/// assembly is then a counting pass plus a fill pass over the resolved
+/// indices — no hash lookup, no propensity re-evaluation, no sort.
 ///
 /// assemble() redirects flux into non-member states back to a designated
 /// return state (Gupta, Mikelson & Khammash's stationary FSP), keeping
@@ -39,12 +42,17 @@ namespace cmesolve::core {
 /// existing Jacobi/GMRES solvers handle unchanged. The redirected flux per
 /// source state is reported in `outflow`; its stationary expectation is the
 /// truncation error indicator of the FSP loop.
+///
+/// assemble*(), out_of_set_successors() throw std::logic_error when the
+/// cache is out of sync with `space` (a mutation not followed by
+/// extend()/compact()).
 class ProjectedRateMatrix {
  public:
   explicit ProjectedRateMatrix(const ReactionNetwork& network);
 
-  /// Compute and cache stencils for states [cached_states(), space.size()).
-  /// Call after the space grew; no-op when nothing was added.
+  /// Compute and cache stencils for states [cached_states(), space.size()),
+  /// and resolve every cached successor still outside the set. Call after
+  /// the space grew; no-op when nothing was added.
   void extend(const DynamicStateSpace& space);
 
   /// Number of states whose stencils are cached (== space.size() after
@@ -54,7 +62,8 @@ class ProjectedRateMatrix {
   }
 
   /// Follow a DynamicStateSpace::compact renumbering: drop stencils of
-  /// removed states, renumber the rest in order.
+  /// removed states, renumber the rest in order, and mark successors that
+  /// were removed as outside the set.
   void compact(const std::vector<index_t>& remap);
 
   struct Assembly {
@@ -76,7 +85,7 @@ class ProjectedRateMatrix {
       const DynamicStateSpace& space) const;
 
   /// Successor states of member j that are NOT members (boundary-expansion
-  /// candidates). Appends to `out`.
+  /// candidates), in stencil order. Appends to `out`.
   void out_of_set_successors(const DynamicStateSpace& space, index_t j,
                              std::vector<State>& out) const;
 
@@ -87,6 +96,9 @@ class ProjectedRateMatrix {
   }
 
  private:
+  /// Per-state rate into non-members, summed in stencil order.
+  [[nodiscard]] std::vector<real_t> leaked_rates() const;
+
   const ReactionNetwork* network_;
   int num_species_;
   /// Stencil storage, flattened: successor s of state j occupies
@@ -96,6 +108,8 @@ class ProjectedRateMatrix {
   std::vector<std::size_t> stencil_ptr_;  ///< size cached_states()+1
   std::vector<std::int32_t> succ_state_;
   std::vector<real_t> succ_rate_;
+  /// Member index of each cached successor; -1 while it is outside the set.
+  std::vector<index_t> succ_index_;
   std::vector<real_t> total_rate_;  ///< per-state Σ propensities
 };
 

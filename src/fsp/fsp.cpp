@@ -505,20 +505,32 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
     }
     p[static_cast<std::size_t>(root)] = 1.0;
 
+    // The conditions under which the growth step below adds a state, so
+    // another round is certain. Then a lost round — sink mass past tol at
+    // some checkpoint — stops there: sink mass never falls as t grows, and
+    // the next member set depends on the projection (outflow, reachability)
+    // alone, never on the propagated vector.
+    const bool will_grow =
+        round < opt.max_rounds &&
+        static_cast<std::size_t>(n) < opt.max_states &&
+        std::any_of(rs.outflow.begin(), rs.outflow.end(),
+                    [](real_t g) { return g > 0.0; });
+
     marginals.assign(t_grid.size(), {});
     sinks.assign(t_grid.size(), 0.0);
     std::uint64_t matvecs = 0;
     std::size_t reached = 0;  // grid points whose checkpoint was delivered
     bool round_truncated = false;
+    // Records checkpoint i; returns false once the round is lost.
+    const auto checkpoint = [&](std::size_t i, std::span<const real_t> pi) {
+      marginals[i].assign(pi.begin(), pi.end());
+      sinks[i] = std::max<real_t>(0.0, 1.0 - solver::norm_l1(pi));
+      reached = i + 1;
+      return !(will_grow && sinks[i] > opt.tol);
+    };
     if (opt.engine == TransientEngine::kUniformization) {
       const auto r = solver::transient_solve_grid(
-          op, t_grid, std::span<real_t>(p),
-          [&](std::size_t i, std::span<const real_t> pi) {
-            marginals[i].assign(pi.begin(), pi.end());
-            sinks[i] = std::max<real_t>(0.0, 1.0 - solver::norm_l1(pi));
-            reached = i + 1;
-          },
-          uopt);
+          op, t_grid, std::span<real_t>(p), checkpoint, uopt);
       matvecs = r.matvecs;
       round_truncated = r.truncated_early;
     } else {
@@ -536,9 +548,7 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
           round_truncated = true;
           break;
         }
-        marginals[i].assign(p.begin(), p.end());
-        sinks[i] = std::max<real_t>(0.0, 1.0 - solver::norm_l1(p));
-        reached = i + 1;
+        if (!checkpoint(i, p)) break;
       }
     }
     total_matvecs += matvecs;
@@ -555,7 +565,7 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
       }
       bound = std::numeric_limits<real_t>::infinity();
       truncated = true;
-      rounds.push_back(TransientFspRound{round, n, bound, matvecs});
+      rounds.push_back(TransientFspRound{round, n, bound, matvecs, reached});
       obs::flight("fsp.transient.sink_mass", obs::FlightKind::kFspRound,
                   static_cast<std::uint64_t>(round), bound);
       obs::flight("fsp.transient.states", obs::FlightKind::kFspStates,
@@ -563,9 +573,10 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
       break;
     }
 
-    bound = sinks.back();
+    // The final checkpoint, or the one a lost round stopped at.
+    bound = sinks[reached - 1];
 
-    rounds.push_back(TransientFspRound{round, n, bound, matvecs});
+    rounds.push_back(TransientFspRound{round, n, bound, matvecs, reached});
     obs::flight("fsp.transient.sink_mass", obs::FlightKind::kFspRound,
                 static_cast<std::uint64_t>(round), bound);
     obs::flight("fsp.transient.states", obs::FlightKind::kFspStates,

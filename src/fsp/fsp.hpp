@@ -146,6 +146,14 @@ struct FspResult {
 // truncation error of every marginal at every earlier time. When the bound
 // exceeds tol the member set is expanded and the propagation restarts from
 // t = 0 on the larger projection.
+//
+// A round is lost as soon as its sink mass passes tol at any checkpoint:
+// the sink mass never falls as t grows. When another round is certain to
+// follow (round budget, state cap and a leaking boundary all allow growth)
+// a lost round stops at that checkpoint instead of propagating to
+// t_final. The next member set depends only on the projection, so the
+// answer is the one full propagation of every round would give; see
+// DESIGN.md §17 for the argument and its one rounding-level exception.
 
 /// Propagation engine of the transient FSP loop.
 enum class TransientEngine { kUniformization, kKrylov };
@@ -170,8 +178,14 @@ struct TransientFspOptions {
 struct TransientFspRound {
   int round = 0;        ///< 1-based
   index_t states = 0;   ///< members propagated this round
-  real_t sink_mass = 0.0;  ///< 1 - ||P(t_final)||_1 on this round's set
+  /// 1 - ||P(t)||_1 on this round's set at its last checkpoint. For a lost
+  /// round that stopped early it is already above tol, and a lower bound on
+  /// the value at t_final. Infinity for a truncated round.
+  real_t sink_mass = 0.0;
   std::uint64_t matvecs = 0;
+  /// Grid points the round reached: the whole grid, fewer for a lost round
+  /// that stopped early or a truncated one.
+  std::size_t checkpoints = 0;
 };
 
 struct TransientFspResult {

@@ -216,12 +216,11 @@ TransientResult transient_solve(const TransientOperator& op, real_t t,
   return out;
 }
 
-TransientResult transient_solve_grid(
-    const TransientOperator& op, std::span<const real_t> t_grid,
-    std::span<real_t> p,
-    const std::function<void(std::size_t, std::span<const real_t>)>&
-        on_checkpoint,
-    const TransientOptions& opt) {
+TransientResult transient_solve_grid(const TransientOperator& op,
+                                     std::span<const real_t> t_grid,
+                                     std::span<real_t> p,
+                                     const CheckpointFn& on_checkpoint,
+                                     const TransientOptions& opt) {
   CMESOLVE_TRACE_SPAN("solver.transient_grid");
   real_t prev = 0.0;
   for (const real_t t : t_grid) {
@@ -241,7 +240,7 @@ TransientResult transient_solve_grid(
     // landed before the Poisson bulk): it is NOT P(t_grid[i]), so the
     // checkpoint is withheld rather than delivered with stale content.
     if (out.truncated_early) break;
-    if (on_checkpoint) on_checkpoint(i, p);
+    if (on_checkpoint && !on_checkpoint(i, p)) break;
   }
   finish(out);
   return out;

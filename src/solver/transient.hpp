@@ -19,7 +19,8 @@
 //    `max_step_mean` is split into equal sub-steps so the series length per
 //    step stays bounded and the left-tail trim can engage;
 //  * checkpointed output — `transient_solve_grid` walks an ascending time
-//    grid and hands the caller the marginal at every requested t;
+//    grid and hands the caller the marginal at every requested t; the
+//    caller may end the walk at any checkpoint;
 //  * explicit mass accounting — `covered_mass` and `truncated_mass` close
 //    to 1 within rounding for a completed single-step solve;
 //  * a `renormalize` switch — FSP transient propagation keeps the raw
@@ -123,19 +124,24 @@ TransientResult transient_solve(const TransientOperator& op, real_t t,
                                 std::span<real_t> p,
                                 const TransientOptions& opt = {});
 
+/// Checkpoint callback of transient_solve_grid: receives the grid index and
+/// P(t_grid[index]); returns whether the walk should continue.
+using CheckpointFn = std::function<bool(std::size_t, std::span<const real_t>)>;
+
 /// Advance `p` through an ascending grid of absolute times (first entry may
 /// be 0 == "now"), invoking `on_checkpoint(index, p)` at every grid point.
-/// The eps budget applies per grid segment. When the series budget runs out
+/// The eps budget applies per grid segment. A callback that returns false
+/// ends the walk at that checkpoint: `p` holds P(t_grid[index]) and the
+/// result is not truncated_early. When the series budget runs out
 /// (truncated_early) the walk stops and no further checkpoints fire —
 /// including the one whose segment was cut, since `p` is then a mid-series
-/// partial sum, not P(t). Returns the aggregate over all segments
+/// partial sum, not P(t). Returns the aggregate over all segments walked
 /// (covered_mass multiplies, truncated_mass/matvecs accumulate).
-TransientResult transient_solve_grid(
-    const TransientOperator& op, std::span<const real_t> t_grid,
-    std::span<real_t> p,
-    const std::function<void(std::size_t, std::span<const real_t>)>&
-        on_checkpoint,
-    const TransientOptions& opt = {});
+TransientResult transient_solve_grid(const TransientOperator& op,
+                                     std::span<const real_t> t_grid,
+                                     std::span<real_t> p,
+                                     const CheckpointFn& on_checkpoint,
+                                     const TransientOptions& opt = {});
 
 template <JacobiOperator Op>
 TransientResult transient_solve(const Op& op, real_t t, std::span<real_t> p,
@@ -144,11 +150,11 @@ TransientResult transient_solve(const Op& op, real_t t, std::span<real_t> p,
 }
 
 template <JacobiOperator Op>
-TransientResult transient_solve_grid(
-    const Op& op, std::span<const real_t> t_grid, std::span<real_t> p,
-    const std::function<void(std::size_t, std::span<const real_t>)>&
-        on_checkpoint,
-    const TransientOptions& opt = {}) {
+TransientResult transient_solve_grid(const Op& op,
+                                     std::span<const real_t> t_grid,
+                                     std::span<real_t> p,
+                                     const CheckpointFn& on_checkpoint,
+                                     const TransientOptions& opt = {}) {
   return transient_solve_grid(transient_operator(op), t_grid, p,
                               on_checkpoint, opt);
 }

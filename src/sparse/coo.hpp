@@ -1,10 +1,10 @@
 #pragma once
 //
-// Coordinate (COO) sparse format: the assembly format.
-//
-// The state-space enumerator emits (row, col, value) triplets in DFS order;
-// COO collects them and is then converted to CSR (the canonical interchange
-// format of this library) or written to Matrix Market files.
+// Coordinate (COO) sparse format: the triplet format of Matrix Market
+// input, the synthetic generators and small hand-built matrices. COO
+// collects (row, col, value) triplets and is then converted to CSR (the
+// canonical interchange format of this library). CME generators do not go
+// through it: core/rate_matrix.cpp builds their CSR column by column.
 //
 #include <cstddef>
 #include <vector>
@@ -23,8 +23,7 @@ struct Coo {
   [[nodiscard]] std::size_t nnz() const noexcept { return val.size(); }
 
   /// Append one entry. Duplicates are allowed and are summed by
-  /// `sort_and_combine` (assembly semantics: two reactions connecting the
-  /// same pair of microstates add their rates, Sec. II-A).
+  /// `sort_and_combine`, in an unspecified order.
   void add(index_t r, index_t c, real_t v) {
     row.push_back(r);
     col.push_back(c);

@@ -202,6 +202,7 @@ TEST(Transient, GridCheckpointsMatchIndividualSolves) {
       op, grid, p,
       [&](std::size_t i, std::span<const real_t> pi) {
         checkpoints[i].assign(pi.begin(), pi.end());
+        return true;
       },
       {});
   EXPECT_FALSE(r.truncated_early);
@@ -223,8 +224,8 @@ TEST(Transient, GridMustBeAscending) {
   std::vector<real_t> p{1.0, 0.0};
   const std::vector<real_t> bad{1.0, 0.5};
   EXPECT_THROW(
-      (void)transient_solve_grid(op, bad, p, [](std::size_t,
-                                                std::span<const real_t>) {}),
+      (void)transient_solve_grid(
+          op, bad, p, [](std::size_t, std::span<const real_t>) { return true; }),
       std::invalid_argument);
 }
 
@@ -375,7 +376,11 @@ TEST(Transient, GridWithholdsCheckpointsAfterTruncation) {
   std::size_t delivered = 0;
   const auto r = transient_solve_grid(
       op, grid, p,
-      [&](std::size_t, std::span<const real_t>) { ++delivered; }, opt);
+      [&](std::size_t, std::span<const real_t>) {
+        ++delivered;
+        return true;
+      },
+      opt);
   EXPECT_TRUE(r.truncated_early);
   EXPECT_EQ(delivered, 0u);
 }
