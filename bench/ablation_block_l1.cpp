@@ -74,5 +74,6 @@ int main(int argc, char** argv) {
            "sizes (working set between the two capacities); at container\n"
            "scale the banded CME gathers fit either split. See EXPERIMENTS.md.\n";
   }
+  obs::flush_outputs();
   return 0;
 }

@@ -91,5 +91,6 @@ int main(int argc, char** argv) {
                "sequential; the paper picks\nJacobi because every component "
                "updates independently — the GPU parallelism of Sec. IV.\n"
                "Jacobi residual traces written to convergence_<model>.csv.\n";
+  obs::flush_outputs();
   return 0;
 }

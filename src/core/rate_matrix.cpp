@@ -107,8 +107,11 @@ sparse::Csr rate_matrix(const StateSpace& space) {
   // appending its states' successors (row index and rate, in reaction
   // order) to private lists. A chunk reserves its worst case, one entry per
   // reaction, and touches only the entries it writes. State j's diagonal is
-  // the negated sum of its rates in the same order.
-  // (StateSpace::find is a const hash lookup, safe for concurrent reads.)
+  // the negated sum of its rates in the same order. Each successor's key is
+  // the source key stepped by the reaction's packed change (StateIndex::find
+  // is a const probe, safe for concurrent reads).
+  const StatePacker& packer = space.packer();
+  const StateIndex& index = space.index();
   struct Chunk {
     std::vector<std::size_t> end;  ///< per state: one past its last entry
     std::vector<index_t> target;
@@ -125,15 +128,18 @@ sparse::Csr rate_matrix(const StateSpace& space) {
     chunk.rate.reserve(states * static_cast<std::size_t>(nr));
     for (index_t j = j0; j < j1; ++j) {
       const State x = space.state(j);
+      const StateKey& key = index.key(j);
       for (int k = 0; k < nr; ++k) {
-        if (!net.within_capacity(k, x)) continue;
+        const KeyStep& step = packer.step(k);
+        if (!step.within_capacity(x.data())) continue;
         const real_t a = net.propensity(k, x);
         if (a <= 0.0) continue;
-        const index_t i = space.find(net.apply(k, x));
+        const StateKey next = step.successor(key);
+        if (next == key) continue;  // null transition (no net state change)
+        const index_t i = index.find(next);
         if (i < 0) {
           throw std::logic_error("rate_matrix: successor not enumerated");
         }
-        if (i == j) continue;  // null transition (no net state change)
         chunk.target.push_back(i);
         chunk.rate.push_back(a);
       }
@@ -163,7 +169,7 @@ sparse::Csr rate_matrix(const StateSpace& space) {
 // ProjectedRateMatrix
 // ---------------------------------------------------------------------------
 ProjectedRateMatrix::ProjectedRateMatrix(const ReactionNetwork& network)
-    : network_(&network), num_species_(network.num_species()) {
+    : network_(&network) {
   stencil_ptr_.push_back(0);
 }
 
@@ -183,12 +189,14 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
   // stencil stream a serial loop would emit at any thread count.
   struct Chunk {
     std::vector<std::size_t> len;
-    std::vector<std::int32_t> succ_state;
+    std::vector<StateKey> succ_key;
     std::vector<real_t> succ_rate;
     std::vector<real_t> total_rate;
   };
   const index_t added = n - old_n;
   std::vector<Chunk> chunks(static_cast<std::size_t>(chunks_of(added)));
+  const StatePacker& packer = space.packer();
+  const StateIndex& index = space.index();
 
   util::parallel_tasks(chunks_of(added), [&](int c) {
     const index_t j0 = old_n + static_cast<index_t>(c) * kAssemblyChunk;
@@ -196,16 +204,17 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
     Chunk& chunk = chunks[static_cast<std::size_t>(c)];
     for (index_t j = j0; j < j1; ++j) {
       const State x = space.state(j);
+      const StateKey& key = index.key(j);
       std::size_t len = 0;
       real_t total = 0.0;
       for (int k = 0; k < nr; ++k) {
-        if (!network_->within_capacity(k, x)) continue;
+        const KeyStep& step = packer.step(k);
+        if (!step.within_capacity(x.data())) continue;
         const real_t a = network_->propensity(k, x);
         if (a <= 0.0) continue;
-        const State next = network_->apply(k, x);
-        if (next == x) continue;  // null transition cancels in the generator
-        chunk.succ_state.insert(chunk.succ_state.end(), next.begin(),
-                                next.end());
+        const StateKey next = step.successor(key);
+        if (next == key) continue;  // null transition cancels in the generator
+        chunk.succ_key.push_back(next);
         chunk.succ_rate.push_back(a);
         total += a;
         ++len;
@@ -220,8 +229,8 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
       stencil_ptr_.push_back(stencil_ptr_.back() + chunk.len[i]);
       total_rate_.push_back(chunk.total_rate[i]);
     }
-    succ_state_.insert(succ_state_.end(), chunk.succ_state.begin(),
-                       chunk.succ_state.end());
+    succ_key_.insert(succ_key_.end(), chunk.succ_key.begin(),
+                     chunk.succ_key.end());
     succ_rate_.insert(succ_rate_.end(), chunk.succ_rate.begin(),
                       chunk.succ_rate.end());
     chunk = Chunk{};
@@ -232,16 +241,12 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
   // and the old states' slots that pointed past the old boundary (the states
   // just added may be their successors). Slots are independent, so the
   // chunks write disjoint entries.
-  const auto ns = static_cast<std::size_t>(num_species_);
   util::parallel_tasks(chunks_of(n), [&](int c) {
     const index_t j0 = static_cast<index_t>(c) * kAssemblyChunk;
     const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
-    State next(ns);
     for (std::size_t s = stencil_ptr_[static_cast<std::size_t>(j0)];
          s < stencil_ptr_[static_cast<std::size_t>(j1)]; ++s) {
-      if (succ_index_[s] >= 0) continue;
-      std::copy_n(succ_state_.data() + s * ns, ns, next.data());
-      succ_index_[s] = space.find(next);
+      if (succ_index_[s] < 0) succ_index_[s] = index.find(succ_key_[s]);
     }
   });
   obs::count("core.projected.extends");
@@ -255,9 +260,8 @@ void ProjectedRateMatrix::compact(const std::vector<index_t>& remap) {
   if (remap.size() != old_n) {
     throw std::invalid_argument("ProjectedRateMatrix::compact: remap size");
   }
-  const auto ns = static_cast<std::size_t>(num_species_);
   std::vector<std::size_t> new_ptr{0};
-  std::vector<std::int32_t> new_succ;
+  std::vector<StateKey> new_succ;
   std::vector<real_t> new_rate;
   std::vector<index_t> new_index;
   std::vector<real_t> new_total;
@@ -267,8 +271,9 @@ void ProjectedRateMatrix::compact(const std::vector<index_t>& remap) {
     // lands each survivor at its new index.
     const std::size_t b = stencil_ptr_[j];
     const std::size_t e = stencil_ptr_[j + 1];
-    new_succ.insert(new_succ.end(), succ_state_.begin() + static_cast<std::ptrdiff_t>(b * ns),
-                    succ_state_.begin() + static_cast<std::ptrdiff_t>(e * ns));
+    new_succ.insert(new_succ.end(),
+                    succ_key_.begin() + static_cast<std::ptrdiff_t>(b),
+                    succ_key_.begin() + static_cast<std::ptrdiff_t>(e));
     new_rate.insert(new_rate.end(), succ_rate_.begin() + static_cast<std::ptrdiff_t>(b),
                     succ_rate_.begin() + static_cast<std::ptrdiff_t>(e));
     // A successor that was pruned is outside the set again.
@@ -280,7 +285,7 @@ void ProjectedRateMatrix::compact(const std::vector<index_t>& remap) {
     new_total.push_back(total_rate_[j]);
   }
   stencil_ptr_ = std::move(new_ptr);
-  succ_state_ = std::move(new_succ);
+  succ_key_ = std::move(new_succ);
   succ_rate_ = std::move(new_rate);
   succ_index_ = std::move(new_index);
   total_rate_ = std::move(new_total);
@@ -342,16 +347,13 @@ ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble_absorbing(
   return out;
 }
 
-void ProjectedRateMatrix::out_of_set_successors(const DynamicStateSpace& space,
-                                                index_t j,
-                                                std::vector<State>& out) const {
+void ProjectedRateMatrix::out_of_set_successors(
+    const DynamicStateSpace& space, index_t j,
+    std::vector<StateKey>& out) const {
   check_in_sync(*this, space, "out_of_set_successors");
-  const auto ns = static_cast<std::size_t>(num_species_);
   const auto ju = static_cast<std::size_t>(j);
   for (std::size_t s = stencil_ptr_[ju]; s < stencil_ptr_[ju + 1]; ++s) {
-    if (succ_index_[s] >= 0) continue;
-    const std::int32_t* first = succ_state_.data() + s * ns;
-    out.emplace_back(first, first + ns);
+    if (succ_index_[s] < 0) out.push_back(succ_key_[s]);
   }
 }
 

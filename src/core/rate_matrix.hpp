@@ -27,7 +27,7 @@ namespace cmesolve::core {
 /// DynamicStateSpace (src/fsp/).
 ///
 /// The transition stencil of state j — its applicable reactions' successor
-/// states and propensities — depends only on j and the network, never on
+/// keys and propensities — depends only on j and the network, never on
 /// which other states are members. Stencils are therefore computed once
 /// when a state enters the set (extend()) and reused by every subsequent
 /// assemble(), and each cached successor is resolved to its member index
@@ -84,10 +84,11 @@ class ProjectedRateMatrix {
   [[nodiscard]] Assembly assemble_absorbing(
       const DynamicStateSpace& space) const;
 
-  /// Successor states of member j that are NOT members (boundary-expansion
-  /// candidates), in stencil order. Appends to `out`.
+  /// Keys of member j's successors that are NOT members (boundary-expansion
+  /// candidates, for DynamicStateSpace::add), in stencil order. Appends to
+  /// `out`.
   void out_of_set_successors(const DynamicStateSpace& space, index_t j,
-                             std::vector<State>& out) const;
+                             std::vector<StateKey>& out) const;
 
   /// Total propensity leaving state j (Σ_k A_k(x_j), capacity-box
   /// truncated) — the λ_j of the embedded-jump-chain error bound.
@@ -100,13 +101,12 @@ class ProjectedRateMatrix {
   [[nodiscard]] std::vector<real_t> leaked_rates() const;
 
   const ReactionNetwork* network_;
-  int num_species_;
-  /// Stencil storage, flattened: successor s of state j occupies
-  /// succ_state_[(stencil_ptr_[j]+s) * num_species_ ...] with propensity
-  /// succ_rate_[stencil_ptr_[j]+s]. Self-transitions are dropped at build
-  /// time (no net state change cancels in the generator).
+  /// Stencil storage, flattened: successor s of state j has packed key
+  /// succ_key_[stencil_ptr_[j]+s] and propensity succ_rate_[stencil_ptr_[j]+s].
+  /// Self-transitions are dropped at build time (no net state change
+  /// cancels in the generator).
   std::vector<std::size_t> stencil_ptr_;  ///< size cached_states()+1
-  std::vector<std::int32_t> succ_state_;
+  std::vector<StateKey> succ_key_;
   std::vector<real_t> succ_rate_;
   /// Member index of each cached successor; -1 while it is outside the set.
   std::vector<index_t> succ_index_;

@@ -1,5 +1,6 @@
 #include "core/reaction_network.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/binomial.hpp"
@@ -28,6 +29,9 @@ void ReactionNetwork::add_reaction(Reaction r) {
     }
   }
   for (const auto& ch : r.changes) check(ch.species);
+  if (std::isnan(r.rate)) {
+    throw std::invalid_argument("reaction rate must not be NaN");
+  }
   if (r.rate < 0.0) {
     throw std::invalid_argument("reaction rate must be non-negative");
   }
@@ -66,8 +70,16 @@ real_t ReactionNetwork::propensity(int k, const State& x) const {
 bool ReactionNetwork::within_capacity(int k, const State& x) const {
   const Reaction& r = reactions_[static_cast<std::size_t>(k)];
   for (const auto& ch : r.changes) {
-    const std::int32_t next = x[static_cast<std::size_t>(ch.species)] + ch.delta;
-    if (next < 0 || next > capacity_[static_cast<std::size_t>(ch.species)]) {
+    const auto s = static_cast<std::size_t>(ch.species);
+    // Each entry alone, and the change summed over every entry naming the
+    // species (the successor apply() builds).
+    std::int32_t summed = x[s];
+    for (const auto& other : r.changes) {
+      if (other.species == ch.species) summed += other.delta;
+    }
+    const std::int32_t next = x[s] + ch.delta;
+    if (next < 0 || next > capacity_[s] || summed < 0 ||
+        summed > capacity_[s]) {
       return false;
     }
   }

@@ -44,7 +44,8 @@ class ReactionNetwork {
   /// @return species id used by reactions.
   int add_species(std::string name, std::int32_t capacity);
 
-  /// Register a reaction. Species ids must exist; throws otherwise.
+  /// Register a reaction. Species ids must exist and the rate must be
+  /// non-negative and not NaN (+inf is allowed); throws otherwise.
   void add_reaction(Reaction r);
 
   /// Convenience: build a reaction from (species id, count) pairs.
@@ -77,7 +78,8 @@ class ReactionNetwork {
   /// A_k(x): zero when reactants are missing. Does NOT check capacity.
   [[nodiscard]] real_t propensity(int k, const State& x) const;
 
-  /// True when x + delta_k stays inside [0, capacity] for every species.
+  /// True when x + delta_k stays inside [0, capacity] for every species,
+  /// both for each change entry alone and for a species' summed change.
   [[nodiscard]] bool within_capacity(int k, const State& x) const;
 
   /// Applicable = propensity > 0 and within capacity.

@@ -331,9 +331,15 @@ void StencilTable::compile_reactions() {
       in.intersect(static_cast<int>(s), net[s],
                    network_->capacity(static_cast<int>(s)) + net[s]);
     }
+    for (std::size_t s = 0; s < net.size(); ++s) {
+      if (net[s] == 0) continue;
+      // within_capacity bounds each species' summed change ...
+      out.intersect(static_cast<int>(s), -net[s],
+                    network_->capacity(static_cast<int>(s)) - net[s]);
+    }
     for (const auto& ch : r.changes) {
       const std::int64_t cap = network_->capacity(ch.species);
-      // within_capacity applies each change entry individually.
+      // ... and each change entry individually.
       out.intersect(ch.species, -ch.delta, cap - ch.delta);
       // ... and at the predecessor it reads x[s] - net + delta in [0, cap].
       in.intersect(ch.species,

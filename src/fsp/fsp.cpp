@@ -157,6 +157,32 @@ class RoundSolver {
   std::unique_ptr<core::StencilTable> stencil_;
 };
 
+/// One round's growth step: add the boundary candidates `additions` (keys
+/// from out_of_set_successors) up to the state cap, then, while the round
+/// has added fewer than min_growth * n states (thin boundaries — quasi-1D
+/// lattices add a handful of states per layer), keep expanding the
+/// successors of the just-added states breadth-first. Each layer continues
+/// along the probability gradient because only descendants of the
+/// candidates are in it. Returns the member count before the step.
+index_t grow(core::DynamicStateSpace& space,
+             const std::vector<core::StateKey>& additions, index_t n,
+             std::size_t max_states, real_t min_growth) {
+  const index_t before_add = space.size();
+  for (const core::StateKey& key : additions) {
+    if (static_cast<std::size_t>(space.size()) >= max_states) break;
+    space.add(key);
+  }
+  if (min_growth > 0.0) {
+    space.grow_bfs(
+        std::min(max_states,
+                 static_cast<std::size_t>(before_add) +
+                     static_cast<std::size_t>(
+                         std::ceil(min_growth * static_cast<real_t>(n)))),
+        before_add);
+  }
+  return before_add;
+}
+
 }  // namespace
 
 FspResult solve_adaptive(const core::ReactionNetwork& network,
@@ -279,7 +305,7 @@ FspResult solve_adaptive(const core::ReactionNetwork& network,
     // membership view are both pre-compaction here. Members about to be
     // pruned do NOT reappear as successors (they are still members now) —
     // which is exactly the anti-oscillation behaviour we want.
-    std::vector<core::State> additions;
+    std::vector<core::StateKey> additions;
     for (index_t j = 0; j < n; ++j) {
       if (expand_src[static_cast<std::size_t>(j)]) {
         matrix.out_of_set_successors(space, j, additions);
@@ -320,40 +346,8 @@ FspResult solve_adaptive(const core::ReactionNetwork& network,
     }
 
     // --- apply expansion ---------------------------------------------------
-    const index_t before_add = space.size();
-    for (const core::State& s : additions) {
-      if (static_cast<std::size_t>(space.size()) >= opt.max_states) break;
-      space.add(s);
-    }
-
-    // Layered growth: when the flux-selected layer falls short of the
-    // round's growth floor (thin boundaries — quasi-1D lattices add a
-    // handful of states per layer), keep expanding the successors of the
-    // just-added states. Each layer continues along the probability
-    // gradient because only descendants of flux-selected states are in it.
-    if (opt.min_growth > 0.0) {
-      const std::size_t target = std::min(
-          opt.max_states,
-          static_cast<std::size_t>(before_add) +
-              static_cast<std::size_t>(
-                  std::ceil(opt.min_growth * static_cast<real_t>(n))));
-      index_t layer_begin = before_add;
-      index_t layer_end = space.size();
-      while (static_cast<std::size_t>(space.size()) < target &&
-             layer_end > layer_begin) {
-        for (index_t j = layer_begin;
-             j < layer_end && static_cast<std::size_t>(space.size()) < target;
-             ++j) {
-          const core::State s = space.state(j);
-          for (int k = 0; k < network.num_reactions(); ++k) {
-            if (static_cast<std::size_t>(space.size()) >= target) break;
-            if (network.applicable(k, s)) space.add(network.apply(k, s));
-          }
-        }
-        layer_begin = layer_end;
-        layer_end = space.size();
-      }
-    }
+    const index_t before_add = grow(space, additions, n, opt.max_states,
+                                    opt.min_growth);
     const index_t added = space.size() - before_add;
     r.added = added;
     r.pruned = pruned;
@@ -589,40 +583,14 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
     // Expand every leaking boundary state's out-of-set successors, then
     // further reachability layers up to the growth floor, and restart the
     // propagation from t = 0 on the larger projection.
-    std::vector<core::State> additions;
+    std::vector<core::StateKey> additions;
     for (index_t j = 0; j < n; ++j) {
       if (rs.outflow[static_cast<std::size_t>(j)] > 0.0) {
         matrix.out_of_set_successors(space, j, additions);
       }
     }
-    const index_t before_add = space.size();
-    for (const core::State& s : additions) {
-      if (static_cast<std::size_t>(space.size()) >= opt.max_states) break;
-      space.add(s);
-    }
-    if (opt.min_growth > 0.0) {
-      const std::size_t target = std::min(
-          opt.max_states,
-          static_cast<std::size_t>(before_add) +
-              static_cast<std::size_t>(
-                  std::ceil(opt.min_growth * static_cast<real_t>(n))));
-      index_t layer_begin = before_add;
-      index_t layer_end = space.size();
-      while (static_cast<std::size_t>(space.size()) < target &&
-             layer_end > layer_begin) {
-        for (index_t j = layer_begin;
-             j < layer_end && static_cast<std::size_t>(space.size()) < target;
-             ++j) {
-          const core::State s = space.state(j);
-          for (int k = 0; k < network.num_reactions(); ++k) {
-            if (static_cast<std::size_t>(space.size()) >= target) break;
-            if (network.applicable(k, s)) space.add(network.apply(k, s));
-          }
-        }
-        layer_begin = layer_end;
-        layer_end = space.size();
-      }
-    }
+    const index_t before_add = grow(space, additions, n, opt.max_states,
+                                    opt.min_growth);
     if (space.size() == before_add) break;  // cap reached or boundary closed
     matrix.extend(space);
   }

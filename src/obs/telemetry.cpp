@@ -716,6 +716,14 @@ struct EnvInit {
       flush_at_exit = true;
     }
     if (flush_at_exit) {
+      // Build every function-local static flush_outputs() reads before
+      // registering it: a static constructed after std::atexit is
+      // destroyed before the handler runs.
+      (void)registry_state();
+      (void)MetricRegistry::instance();
+      (void)obs_state();
+      (void)Tracer::instance().size();
+      (void)FlightRecorder::instance().capacity();
       std::atexit([] { flush_outputs(); });
     }
   }

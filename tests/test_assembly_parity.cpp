@@ -170,8 +170,14 @@ void expect_projected_parity(const core::ReactionNetwork& net,
   EXPECT_TRUE(same_bits(redirected.outflow, ref_red.outflow)) << what;
 
   for (index_t j = 0; j < space.size(); ++j) {
+    std::vector<core::StateKey> keys;
+    matrix.out_of_set_successors(space, j, keys);
     std::vector<core::State> outside;
-    matrix.out_of_set_successors(space, j, outside);
+    for (const core::StateKey& key : keys) {
+      core::State x(static_cast<std::size_t>(net.num_species()));
+      space.packer().unpack(key, x.data());
+      outside.push_back(std::move(x));
+    }
     EXPECT_EQ(outside, reference_outside(net, space, j)) << what << " j=" << j;
   }
 }
@@ -203,11 +209,11 @@ void check_family(const core::ReactionNetwork& net,
   expect_projected_parity(net, space, matrix, mid, name + " compacted");
 
   // Regrow from the boundary: the pruned states come back as successors.
-  std::vector<core::State> additions;
+  std::vector<core::StateKey> additions;
   for (index_t j = 0; j < space.size(); ++j) {
     matrix.out_of_set_successors(space, j, additions);
   }
-  for (const core::State& s : additions) space.add(s);
+  for (const core::StateKey& key : additions) space.add(key);
   space.grow_bfs(static_cast<std::size_t>(space.size()) + 100);
   matrix.extend(space);
   expect_projected_parity(net, space, matrix, space.find(initial),
@@ -316,7 +322,7 @@ TEST(AssemblyParity, StaleCacheThrows) {
   core::ProjectedRateMatrix matrix(net);
   matrix.extend(space);
   space.grow_bfs(20);
-  std::vector<core::State> out;
+  std::vector<core::StateKey> out;
   EXPECT_THROW((void)matrix.assemble(space, 0), std::logic_error);
   EXPECT_THROW((void)matrix.assemble_absorbing(space), std::logic_error);
   EXPECT_THROW(matrix.out_of_set_successors(space, 0, out), std::logic_error);

@@ -1,6 +1,7 @@
 // Tests for the reaction-network model and propensity evaluation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/reaction_network.hpp"
@@ -87,6 +88,38 @@ TEST(ReactionNetwork, InvalidDefinitionsThrow) {
   EXPECT_THROW(net.add_reaction("bad", -1.0, {{s, 1}}, {{s, -1}}),
                std::invalid_argument);
   EXPECT_THROW((void)net.add_species("neg", -1), std::invalid_argument);
+}
+
+TEST(ReactionNetwork, NanRateRejectedInfinityAllowed) {
+  // A NaN rate would make the reaction never applicable (NaN > 0 is false)
+  // while the assembled generator kept NaN propensities.
+  ReactionNetwork net;
+  const int a = net.add_species("A", 4);
+  net.add_reaction("birth", 1.0, {}, {{a, +1}});
+  net.add_reaction("death", 1.0, {{a, 1}}, {{a, -1}});
+  EXPECT_THROW(net.add_reaction("nan", std::numeric_limits<real_t>::quiet_NaN(),
+                                {}, {{a, +2}}),
+               std::invalid_argument);
+  EXPECT_EQ(net.num_reactions(), 2);
+  net.add_reaction("fast", std::numeric_limits<real_t>::infinity(), {},
+                   {{a, +2}});
+  EXPECT_TRUE(net.applicable(2, State{0}));
+  EXPECT_FALSE(net.applicable(2, State{3}));
+}
+
+TEST(ReactionNetwork, RepeatedSpeciesBoundsTheSummedChange) {
+  // Two +1 entries for A: each alone fits from A = 2, their sum does not.
+  ReactionNetwork net;
+  const int a = net.add_species("A", 3);
+  net.add_reaction("up2", 1.0, {}, {{a, +1}, {a, +1}});
+  net.add_reaction("swap", 1.0, {}, {{a, +1}, {a, -1}});
+  EXPECT_TRUE(net.within_capacity(0, State{1}));
+  EXPECT_FALSE(net.within_capacity(0, State{2}));
+  EXPECT_EQ(net.apply(0, State{1}), State{3});
+  // A zero summed change still checks each entry alone.
+  EXPECT_FALSE(net.within_capacity(1, State{0}));
+  EXPECT_TRUE(net.within_capacity(1, State{2}));
+  EXPECT_FALSE(net.within_capacity(1, State{3}));
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -31,6 +34,7 @@
 #include "solver/operators.hpp"
 #include "solver/vector_ops.hpp"
 #include "util/parallel.hpp"
+#include "verify/json_reader.hpp"
 
 namespace cmesolve {
 namespace {
@@ -592,6 +596,35 @@ TEST_F(ObsTest, ReportEmbedsFlightSection) {
                           "\"kind\": \"residual\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+}
+
+// The ledger of a program that never calls flush_outputs() is written by the
+// exit-time flush CMESOLVE_BENCH arms at startup. A metric registry first
+// built after that flush was registered is destroyed before it runs; the
+// re-executed child below records its first metric only after startup.
+TEST(ObsExitFlushDeathTest, LedgerWrittenAtExitIsValid) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = ::testing::TempDir() + "cmesolve_exit_flush.json";
+  std::remove(path.c_str());
+  ASSERT_EQ(setenv("CMESOLVE_BENCH", path.c_str(), 1), 0);
+  EXPECT_EXIT(
+      {
+        obs::count("exit_flush.probe", 3);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  unsetenv("CMESOLVE_BENCH");
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const verify::JsonValue ledger = verify::parse_json(text.str());
+  const verify::JsonValue* det = ledger.find("deterministic");
+  ASSERT_NE(det, nullptr);
+  const verify::JsonValue* probe = det->find("exit_flush.probe");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_EQ(probe->number, 3.0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -132,6 +132,44 @@ TEST(StencilTable, DiagonalMatchesAssembledMatrixExactly) {
   }
 }
 
+TEST(StencilTable, RepeatedSpeciesWindowsMatchAssembledMatrix) {
+  // "up2" names A twice: from A = 2 each entry alone fits the box but the
+  // summed change does not, so the out-window must bound the sum as
+  // within_capacity does, or the diagonal leaks the blocked rate.
+  ReactionNetwork net;
+  const int a = net.add_species("A", 3);
+  const int b = net.add_species("B", 1);
+  net.add_reaction("up2", 2.0, {}, {{a, +1}, {a, +1}});
+  net.add_reaction("down", 1.0, {{a, 1}}, {{a, -1}});
+  net.add_reaction("flip", 3.0, {}, {{b, +1}});
+  net.add_reaction("flop", 1.0, {{b, 1}}, {{b, -1}});
+  const State init{0, 0};
+  const StateSpace space(net, init, 1000);
+  ASSERT_EQ(space.size(), 8);
+  const auto a_csr = core::rate_matrix(space);
+  const CsrOperator csr(a_csr);
+  const StencilOperator op(net, init);
+  const auto diag = op.table().diag();
+  for (index_t j = 0; j < space.size(); ++j) {
+    const index_t row = op.table().box_index(space.state(j));
+    ASSERT_GE(row, 0);
+    EXPECT_EQ(diag[static_cast<std::size_t>(row)], a_csr.at(j, j)) << j;
+  }
+  const auto n = static_cast<std::size_t>(space.size());
+  const auto x = random_vector(n, 5);
+  std::vector<real_t> y_csr(n);
+  csr.multiply(x, y_csr);
+  std::vector<real_t> xb(static_cast<std::size_t>(op.nrows()));
+  std::vector<real_t> yb(xb.size());
+  op.scatter_from(space, x, xb);
+  op.multiply(xb, yb);
+  std::vector<real_t> y(n);
+  op.gather_to(space, yb, y);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(y[i], y_csr[i], 1e-13 * (1.0 + std::abs(y_csr[i]))) << i;
+  }
+}
+
 // --- multiply ---------------------------------------------------------------
 
 class StencilMultiply : public ::testing::TestWithParam<StencilMode> {};
