@@ -15,9 +15,9 @@
 //      out-of-tree; this guard catches regressions in-tree at a granularity
 //      where the signal is ~100x the threshold, not 2%.)
 //   3. A batched-solver-shaped hot loop — per-lane flight sites inside a
-//      lane loop, the exact shape batched_jacobi_solve's residual check
-//      instruments — also stays under budget, so the recorder cannot tax
-//      the widest hot path in the tree.
+//      lane loop, the shape jacobi_solve_lanes' residual check instruments
+//      on a K-lane block — also stays under budget, so the recorder cannot
+//      tax the widest hot path in the tree.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -62,8 +62,8 @@ std::uint64_t flight_loop(std::uint64_t n) {
 }
 
 /// Batched hot-loop shape: K per-lane flight sites behind one enable check,
-/// the way batched_jacobi_solve records per-lane residuals plus the active
-/// count at each convergence check.
+/// the way jacobi_solve_lanes records per-lane residuals plus the active
+/// lane count at each residual check of a K-lane block.
 constexpr std::uint64_t kLanes = 8;
 std::uint64_t batched_flight_loop(std::uint64_t n) {
   std::uint64_t acc = 0;

@@ -4,7 +4,7 @@
 // solver events. Where the metric registry keeps end-of-run aggregates, the
 // recorder keeps the *trajectory* — residual at every check, every
 // renormalization, every stagnation strike, every FSP round's sink mass and
-// state count, the batched solver's freeze-mask popcount per check — so a
+// state count, how many batched lanes still iterate at each check — so a
 // failed or stagnated solve can be diagnosed post mortem without re-running
 // under a debugger.
 //
@@ -39,7 +39,8 @@ namespace detail {
 // Defined in telemetry.cpp (with the other enable flags): any TU touching
 // the inline fast path links the env activation (CMESOLVE_FLIGHT) with it.
 extern std::atomic<bool> g_flight_on;
-extern thread_local int t_suppress_depth;  ///< shared with metrics.hpp
+/// Shared with metrics.hpp.
+extern constinit thread_local int t_suppress_depth;
 }  // namespace detail
 
 /// Shares the SuppressMetrics thread-local: code inside pool tasks records
@@ -56,7 +57,7 @@ enum class FlightKind : std::uint8_t {
   kStop,             ///< solve finished (value = StopReason as double)
   kFspRound,         ///< FSP round outflow bound (value = sink-mass bound)
   kFspStates,        ///< FSP round state count
-  kBatchActive,      ///< batched freeze-mask popcount (value = active lanes)
+  kBatchActive,      ///< batched lanes still iterating (value = lane count)
   kTransientStep,    ///< uniformization sub-step (value = covered Poisson mass)
   kKrylovStep,       ///< accepted Krylov expm sub-step (value = local error)
 };

@@ -27,7 +27,7 @@ namespace cmesolve::obs {
 
 namespace detail {
 extern std::atomic<bool> g_metrics_on;  ///< defined in telemetry.cpp
-extern thread_local int t_suppress_depth;
+extern constinit thread_local int t_suppress_depth;
 }  // namespace detail
 
 inline bool metrics_enabled() {

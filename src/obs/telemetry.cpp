@@ -43,7 +43,10 @@ namespace detail {
 std::atomic<bool> g_trace_on{false};
 std::atomic<bool> g_metrics_on{false};
 std::atomic<bool> g_flight_on{false};
-thread_local int t_suppress_depth = 0;
+// constinit at every declaration: TUs then read the thread-local directly
+// instead of through a TLS init wrapper, which UBSan reported as null
+// pointer loads and stores on worker threads.
+constinit thread_local int t_suppress_depth = 0;
 }  // namespace detail
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -43,80 +42,17 @@ void validate_rates(const core::ReactionNetwork& net,
   }
 }
 
-/// Per-lane L1 sums with the SAME fixed row chunking as solver::norm_l1:
-/// lane k's partial over a chunk is the serial index-order sum of
-/// |x[i*K + k]|, partials combine in ascending chunk order — so each
-/// lane's sum is bitwise the single-vector norm_l1 of that lane.
-std::vector<real_t> lane_l1(std::span<const real_t> x, std::size_t n, int k) {
-  const auto kk = static_cast<std::size_t>(k);
-  const real_t* p = x.data();
-  return util::parallel_reduce(
-      n, kReduceChunk, std::vector<real_t>(kk, 0.0),
-      [p, kk](std::size_t b, std::size_t e) {
-        std::vector<real_t> s(kk, 0.0);
-        for (std::size_t i = b; i < e; ++i) {
-          const real_t* row = p + i * kk;
-          for (std::size_t q = 0; q < kk; ++q) s[q] += std::abs(row[q]);
-        }
-        return s;
-      },
-      [kk](std::vector<real_t> acc, std::vector<real_t> part) {
-        for (std::size_t q = 0; q < kk; ++q) acc[q] += part[q];
-        return acc;
-      });
-}
-
-/// Per-lane infinity norms, chunked exactly like solver::norm_inf.
-std::vector<real_t> lane_inf(std::span<const real_t> x, std::size_t n, int k) {
-  const auto kk = static_cast<std::size_t>(k);
-  const real_t* p = x.data();
-  return util::parallel_reduce(
-      n, kReduceChunk, std::vector<real_t>(kk, 0.0),
-      [p, kk](std::size_t b, std::size_t e) {
-        std::vector<real_t> s(kk, 0.0);
-        for (std::size_t i = b; i < e; ++i) {
-          const real_t* row = p + i * kk;
-          for (std::size_t q = 0; q < kk; ++q) {
-            s[q] = std::max(s[q], std::abs(row[q]));
-          }
-        }
-        return s;
-      },
-      [kk](std::vector<real_t> acc, std::vector<real_t> part) {
-        for (std::size_t q = 0; q < kk; ++q) {
-          acc[q] = std::max(acc[q], part[q]);
-        }
-        return acc;
-      });
-}
-
-/// L1-normalize the lanes with mask[q] != 0 in place, replaying
-/// normalize_l1 per lane: skip a lane whose sum is not positive, scale by
-/// the reciprocal otherwise.
-void normalize_lanes(std::span<real_t> x, std::size_t n, int k,
-                     const std::uint8_t* mask) {
-  const auto kk = static_cast<std::size_t>(k);
-  const auto sums = lane_l1(x, n, k);
-  std::vector<real_t> inv(kk, 0.0);
-  std::vector<std::uint8_t> scale_lane(kk, 0);
-  bool any = false;
-  for (std::size_t q = 0; q < kk; ++q) {
-    if (mask[q] && sums[q] > 0.0) {
-      inv[q] = 1.0 / sums[q];
-      scale_lane[q] = 1;
-      any = true;
-    }
+/// Squared distance of points a and b in log-rate space.
+real_t log_rate_dist(std::span<const std::vector<real_t>> rates, int a,
+                     int b) {
+  const auto& ra = rates[static_cast<std::size_t>(a)];
+  const auto& rb = rates[static_cast<std::size_t>(b)];
+  real_t s = 0.0;
+  for (std::size_t j = 0; j < ra.size(); ++j) {
+    const real_t dl = std::log(ra[j]) - std::log(rb[j]);
+    s += dl * dl;
   }
-  if (!any) return;
-  real_t* p = x.data();
-  const real_t* pi = inv.data();
-  const std::uint8_t* ps = scale_lane.data();
-  // Lane-masked rescale through the SIMD kernel table: scaled lanes take
-  // the identical per-element multiply, skipped lanes keep their bits.
-  const util::simdk::KernelOps& ko = util::simdk::kernels();
-  util::parallel_for(n, [p, pi, ps, kk, &ko](std::size_t b, std::size_t e) {
-    ko.lane_scale(p + b * kk, e - b, kk, pi, ps);
-  });
+  return s;
 }
 
 }  // namespace
@@ -255,16 +191,9 @@ std::size_t BatchedStencilOperator::bytes_modeled() const noexcept {
 
 void BatchedStencilOperator::multiply(std::span<const real_t> x,
                                       std::span<real_t> y) const {
-  multiply_active(x, y, {});
-}
-
-void BatchedStencilOperator::multiply_active(std::span<const real_t> x,
-                                             std::span<real_t> y,
-                                             std::span<const int> lanes) const {
   CMESOLVE_TRACE_SPAN("batch.sweep");
   const auto n = static_cast<std::int64_t>(structure_->nrows());
   const auto kk = static_cast<std::size_t>(batch_);
-  const bool all = lanes.empty() || lanes.size() == kk;
   const auto& rx = structure_->unit().table().reactions();
   const real_t* cache = structure_->unit().propensity_cache().data();
   // Rows per chunk shrink with the batch width so chunk payloads stay
@@ -277,29 +206,12 @@ void BatchedStencilOperator::multiply_active(std::span<const real_t> x,
   // (skipping u == 0 only drops exact-zero addends, which cannot flip an
   // accumulator that is never -0.0). The sweep runs through the explicit
   // SIMD kernel table, vectorized across the k lanes; lanes never mix, so
-  // every ISA produces the same bits for a computed lane.
-  //
-  // Lane freezing maps onto the SIMD path by zeroing the frozen lanes'
-  // coefficients: a frozen lane accumulates (0 * u) * x = +0 into its
-  // zero-filled y entries (signed-zero addition cannot flip them), while
-  // active lanes see the identical multiply/add chain as the dense sweep.
-  util::aligned_vector<real_t> masked_coef;
-  const real_t* coef = coef_.data();
-  if (!all) {
-    masked_coef.assign(coef_.begin(), coef_.end());
-    std::vector<std::uint8_t> act(kk, 0);
-    for (const int q : lanes) act[static_cast<std::size_t>(q)] = 1;
-    for (std::size_t r = 0; r < rx.size(); ++r) {
-      for (std::size_t q = 0; q < kk; ++q) {
-        if (!act[q]) masked_coef[r * kk + q] = 0.0;
-      }
-    }
-    coef = masked_coef.data();
-  }
+  // every ISA produces the same bits.
   std::vector<std::int64_t> strides(rx.size());
   for (std::size_t r = 0; r < rx.size(); ++r) strides[r] = rx[r].stride;
   const util::simdk::BatchedSweepArgs args{
-      x.data(), y.data(), cache, coef, strides.data(), rx.size(), n, kk};
+      x.data(), y.data(), cache, coef_.data(), strides.data(), rx.size(), n,
+      kk};
   const util::simdk::KernelOps& KO = util::simdk::kernels();
   util::parallel_for(
       static_cast<std::size_t>(n),
@@ -310,260 +222,12 @@ void BatchedStencilOperator::multiply_active(std::span<const real_t> x,
       grain);
 }
 
-std::vector<JacobiResult> batched_jacobi_solve(const BatchedStencilOperator& op,
-                                               std::span<real_t> x,
-                                               const JacobiOptions& opt) {
-  const auto n = static_cast<std::size_t>(op.nrows());
-  const int k = op.batch();
-  const auto kk = static_cast<std::size_t>(k);
-  if (x.size() != n * kk) {
-    throw std::invalid_argument("batched_jacobi_solve: x size mismatch");
-  }
-  const std::span<const real_t> d = op.diag();
-  for (std::size_t i = 0; i < n * kk; ++i) {
-    if (d[i] == 0.0) {
-      throw std::domain_error(
-          "jacobi_solve: zero diagonal (absorbing state in the CME)");
-    }
-  }
-
-  // 64-byte aligned solver state, matching jacobi_solve: the interleaved
-  // buffers are streamed by the SIMD scale/swap and residual kernels.
-  util::aligned_vector<real_t> next(n * kk);
-  util::aligned_vector<real_t> resid(n * kk);
-  const real_t omega = opt.damping;
-  const util::simdk::KernelOps& ko = util::simdk::kernels();
-
-  CMESOLVE_TRACE_SPAN("jacobi.batched_solve");
-  WallTimer timer;
-  std::vector<JacobiResult> out(kk);
-  const std::uint64_t flops_per_sweep =
-      2ULL * op.offdiag_nnz() + static_cast<std::uint64_t>(n);
-  std::vector<real_t> prev_residual(kk, -1.0);
-  std::vector<std::uint32_t> flat_checks(kk, 0);
-  std::vector<std::uint64_t> check_number(kk, 0);
-  std::vector<std::uint8_t> active(kk, 1);
-  int n_active = k;
-  const std::size_t history_cap =
-      opt.history_capacity > 0 ? std::max<std::size_t>(opt.history_capacity, 2)
-                               : 0;
-  const auto inf_norms = op.inf_norms();
-
-  // Ascending indices of the still-active lanes: the sweep, scale and swap
-  // passes iterate only these, so a frozen lane costs nothing per
-  // iteration (its interleaved elements are simply never touched again).
-  std::vector<int> lane_list(kk);
-  std::iota(lane_list.begin(), lane_list.end(), 0);
-
-  // Stop lane q NOW: apply the end-of-solve normalization jacobi_solve
-  // performs after its loop (nothing else touches a frozen lane), record
-  // the shared wall clock, and drop the lane from the active set.
-  const auto stop_lane = [&](std::size_t q) {
-    std::vector<std::uint8_t> mask(kk, 0);
-    mask[q] = 1;
-    normalize_lanes(x, n, k, mask.data());
-    active[q] = 0;
-    --n_active;
-    lane_list.clear();
-    for (std::size_t l = 0; l < kk; ++l) {
-      if (active[l]) lane_list.push_back(static_cast<int>(l));
-    }
-    out[q].seconds = timer.seconds();
-  };
-
-  normalize_lanes(x, n, k, active.data());
-  for (std::uint64_t it = 1; it <= opt.max_iterations && n_active > 0; ++it) {
-    {
-      CMESOLVE_TRACE_SPAN("jacobi.sweep");
-      const bool all_active = n_active == k;
-      op.multiply_active(x, next,
-                         all_active ? std::span<const int>{} : lane_list);
-      real_t* pn = next.data();
-      real_t* px = x.data();
-      const real_t* pd = d.data();
-      // Scale + swap, active lanes only: each active element takes the
-      // exact jacobi_solve update expression and then swaps into x; a
-      // frozen lane's elements are never read or written, which leaves its
-      // x untouched (the same outcome the copy-through would produce).
-      if (all_active) {
-        // Fused scale + swap through the SIMD kernel table: one pass
-        // computes the update and exchanges it with x (same expressions and
-        // element order as the two-pass form, so the bits cannot differ; it
-        // just touches memory once). The damped formula is a separate
-        // kernel — at omega == 1 it is NOT bitwise the undamped one.
-        if (omega == 1.0) {
-          util::parallel_for(n * kk,
-                             [pn, px, pd, &ko](std::size_t b, std::size_t e) {
-                               ko.scale_swap(px + b, pn + b, pd + b, e - b);
-                             });
-        } else {
-          util::parallel_for(
-              n * kk, [pn, px, pd, omega, &ko](std::size_t b, std::size_t e) {
-                ko.scale_swap_damped(px + b, pn + b, pd + b, omega, e - b);
-              });
-        }
-      } else {
-        // Lane-masked scale + swap: active lanes take the exact update and
-        // swap, frozen lanes keep their x bits untouched (the SIMD path
-        // computes-then-blends; a frozen lane's quotient is finite — the
-        // diagonal is nonzero everywhere — and discarded by the blend, and
-        // its pn slot is dead until the lane reactivates, which never
-        // happens). Matches the old lane-list iteration bit for bit.
-        const std::uint8_t* pa = active.data();
-        if (omega == 1.0) {
-          util::parallel_for(
-              n, [pn, px, pd, pa, kk, &ko](std::size_t b, std::size_t e) {
-                ko.lane_scale_swap(px + b * kk, pn + b * kk, pd + b * kk,
-                                   e - b, kk, pa);
-              });
-        } else {
-          util::parallel_for(
-              n,
-              [pn, px, pd, pa, omega, kk, &ko](std::size_t b, std::size_t e) {
-                ko.lane_scale_swap_damped(px + b * kk, pn + b * kk,
-                                          pd + b * kk, omega, e - b, kk, pa);
-              });
-        }
-      }
-    }
-    for (std::size_t q = 0; q < kk; ++q) {
-      if (active[q]) {
-        out[q].iterations = it;
-        out[q].flops += flops_per_sweep;
-      }
-    }
-
-    if (opt.normalize_every > 0 && it % opt.normalize_every == 0) {
-      CMESOLVE_TRACE_INSTANT("jacobi.renormalize");
-      obs::count("jacobi.renormalizations");
-      normalize_lanes(x, n, k, active.data());
-    }
-
-    if (it % opt.check_every == 0 || it == opt.max_iterations) {
-      CMESOLVE_TRACE_SPAN("jacobi.residual_check");
-      normalize_lanes(x, n, k, active.data());
-      op.multiply_active(x, resid,
-                         n_active == k ? std::span<const int>{} : lane_list);
-      {
-        real_t* pr = resid.data();
-        const real_t* px = x.data();
-        const real_t* pd = d.data();
-        util::parallel_for(n * kk,
-                           [pr, px, pd, &ko](std::size_t b, std::size_t e) {
-                             ko.cmul_add(pr + b, pd + b, px + b, e - b);
-                           });
-      }
-      const auto xn = lane_inf(x, n, k);
-      const auto rn = lane_inf(resid, n, k);
-      for (std::size_t q = 0; q < kk; ++q) {
-        if (!active[q]) continue;
-        JacobiResult& o = out[q];
-        // Exact-zero residual short-circuits to converged, exactly as the
-        // single-RHS loop (the normalized quotient and the stagnation
-        // ratio are both undefined at zero).
-        if (rn[q] == 0.0) {
-          o.residual = 0.0;
-          obs::observe("jacobi.residual", o.residual);
-          obs::flight("batch.residual", obs::FlightKind::kResidual, it, 0.0,
-                      static_cast<std::uint32_t>(q));
-          if (opt.on_residual) opt.on_residual(it, o.residual);
-          o.reason = StopReason::kConverged;
-          stop_lane(q);
-          continue;
-        }
-        o.residual = rn[q] / (inf_norms[q] * (xn[q] > 0 ? xn[q] : 1.0));
-        o.flops += flops_per_sweep;  // the residual costs one extra sweep
-        obs::observe("jacobi.residual", o.residual);
-        obs::flight("batch.residual", obs::FlightKind::kResidual, it,
-                    o.residual, static_cast<std::uint32_t>(q));
-        if (opt.on_residual) opt.on_residual(it, o.residual);
-        if (history_cap > 0) {
-          if (check_number[q] % o.history_stride == 0) {
-            if (o.residual_history.size() >= history_cap) {
-              std::size_t w = 0;
-              for (std::size_t rr = 0; rr < o.residual_history.size();
-                   rr += 2) {
-                o.residual_history[w++] = o.residual_history[rr];
-              }
-              o.residual_history.resize(w);
-              o.history_stride *= 2;
-            }
-            if (check_number[q] % o.history_stride == 0) {
-              o.residual_history.push_back({it, o.residual});
-            }
-          }
-          ++check_number[q];
-        }
-
-        if (o.residual <= opt.eps) {
-          o.reason = StopReason::kConverged;
-          stop_lane(q);
-          continue;
-        }
-        if (prev_residual[q] > 0.0 &&
-            std::abs(o.residual - prev_residual[q]) / prev_residual[q] <=
-                opt.stagnation_eps) {
-          if (++flat_checks[q] >= opt.stagnation_patience) {
-            o.reason = StopReason::kStagnated;
-            stop_lane(q);
-            continue;
-          }
-        } else {
-          flat_checks[q] = 0;
-        }
-        prev_residual[q] = o.residual;
-      }
-      obs::gauge("batch.points_active", static_cast<double>(n_active));
-      // Freeze-mask popcount: how many lanes are still iterating after this
-      // check — the amortization the batch is actually getting.
-      obs::flight("batch.active", obs::FlightKind::kBatchActive, it,
-                  static_cast<double>(n_active));
-    }
-  }
-
-  // Lanes that exhausted the iteration budget take the same final
-  // normalization jacobi_solve applies after its loop.
-  normalize_lanes(x, n, k, active.data());
-  const real_t elapsed = timer.seconds();
-  for (std::size_t q = 0; q < kk; ++q) {
-    if (active[q]) out[q].seconds = elapsed;
-    out[q].gflops = out[q].seconds > 0
-                        ? static_cast<real_t>(out[q].flops) /
-                              out[q].seconds / 1.0e9
-                        : 0.0;
-  }
-  obs::count("jacobi.batched_solves");
-  obs::gauge("batch.points_active", static_cast<double>(n_active));
-  if (obs::flight_enabled()) {
-    for (std::size_t q = 0; q < kk; ++q) {
-      obs::flight("batch.stop", obs::FlightKind::kStop, out[q].iterations,
-                  static_cast<double>(out[q].reason),
-                  static_cast<std::uint32_t>(q));
-      if (out[q].reason != StopReason::kConverged) {
-        obs::FlightRecorder::instance().mark_post_mortem(
-            to_string(out[q].reason));
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<int> continuation_order(
     std::span<const std::vector<real_t>> rates) {
   const int k = static_cast<int>(rates.size());
   std::vector<int> order;
   order.reserve(static_cast<std::size_t>(k));
   if (k == 0) return order;
-  const auto dist = [&](int a, int b) {
-    const auto& ra = rates[static_cast<std::size_t>(a)];
-    const auto& rb = rates[static_cast<std::size_t>(b)];
-    real_t s = 0.0;
-    for (std::size_t j = 0; j < ra.size(); ++j) {
-      const real_t dl = std::log(ra[j]) - std::log(rb[j]);
-      s += dl * dl;
-    }
-    return s;
-  };
   std::vector<std::uint8_t> used(static_cast<std::size_t>(k), 0);
   int cur = 0;
   used[0] = 1;
@@ -573,7 +237,7 @@ std::vector<int> continuation_order(
     real_t best_d = 0.0;
     for (int c = 0; c < k; ++c) {
       if (used[static_cast<std::size_t>(c)]) continue;
-      const real_t dc = dist(cur, c);
+      const real_t dc = log_rate_dist(rates, cur, c);
       if (best < 0 || dc < best_d) {  // strict <: smallest index wins ties
         best = c;
         best_d = dc;
@@ -651,16 +315,6 @@ EnsembleResult solve_ensemble(const core::StencilTable& base,
   std::vector<index_t> identity_remap(n);
   std::iota(identity_remap.begin(), identity_remap.end(), 0);
 
-  const auto log_dist = [&](int a, int b) {
-    const auto& ra = rates[static_cast<std::size_t>(a)];
-    const auto& rb = rates[static_cast<std::size_t>(b)];
-    real_t s = 0.0;
-    for (std::size_t j = 0; j < ra.size(); ++j) {
-      const real_t dl = std::log(ra[j]) - std::log(rb[j]);
-      s += dl * dl;
-    }
-    return s;
-  };
   // Warm-start source: nearest CONVERGED point among earlier blocks (block
   // granularity — identical in batched and sequential modes). -1: none.
   std::vector<int> solved;
@@ -669,7 +323,7 @@ EnsembleResult solve_ensemble(const core::StencilTable& base,
     real_t best_d = 0.0;
     for (const int s : solved) {
       if (!out.points[static_cast<std::size_t>(s)].converged) continue;
-      const real_t dc = log_dist(point, s);
+      const real_t dc = log_rate_dist(rates, point, s);
       if (best < 0 || dc < best_d) {
         best = s;
         best_d = dc;
@@ -747,17 +401,28 @@ EnsembleResult solve_ensemble(const core::StencilTable& base,
             static_cast<std::size_t>(q)] = g[i];
         }
       }
-      auto lanes = batched_jacobi_solve(op, x, opt.jacobi);
+      // Each lane lands in its point's p as it stops.
+      std::vector<std::span<real_t>> lane_out;
+      for (int q = 0; q < width; ++q) {
+        auto& pr = out.points[static_cast<std::size_t>(
+            out.order[b0 + static_cast<std::size_t>(q)])];
+        pr.p.resize(n);
+        lane_out.emplace_back(pr.p);
+      }
+      auto lanes = jacobi_solve_lanes(op, op.inf_norms(), x, lane_out,
+                                      opt.jacobi);
+      obs::count("jacobi.batched_solves");
+      // Lanes still iterating when the budget ran out.
+      obs::gauge("batch.points_active",
+                 static_cast<double>(std::count_if(
+                     lanes.begin(), lanes.end(), [](const JacobiResult& r) {
+                       return r.reason == StopReason::kMaxIterations;
+                     })));
       for (int q = 0; q < width; ++q) {
         const int point = out.order[b0 + static_cast<std::size_t>(q)];
         auto& pr = out.points[static_cast<std::size_t>(point)];
         pr.jacobi = std::move(lanes[static_cast<std::size_t>(q)]);
         pr.converged = pr.jacobi.reason == StopReason::kConverged;
-        pr.p.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          pr.p[i] = x[i * static_cast<std::size_t>(width) +
-                      static_cast<std::size_t>(q)];
-        }
         gmres_rescue(point, pr);
       }
     } else {

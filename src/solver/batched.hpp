@@ -25,10 +25,11 @@
 // order inside the chunk owning the row, so results are bit-identical at
 // any thread count. Stronger still, lane k of the batched pipeline is
 // bit-identical to the SINGLE-RHS path solving point k alone: the shared
-// unit table makes coef*u the exact product the single sweep computes, the
-// per-lane norms chunk rows exactly like solver::norm_l1/norm_inf, and the
-// blocked Jacobi driver below replays jacobi_solve's control flow per
-// lane. tools/cme_fuzz cross-checks this equivalence continuously.
+// unit table makes coef*u the exact product the single sweep computes,
+// lanes never mix, and solve_ensemble runs each block through
+// jacobi_solve_lanes — the single-RHS Jacobi loop, per-lane control state
+// and chunk-ordered per-lane norms included. tools/cme_fuzz cross-checks
+// this equivalence continuously.
 //
 #include <cstdint>
 #include <span>
@@ -83,7 +84,7 @@ class EnsembleStructure {
 /// Off-diagonal operator applying K parameter points per sweep. Vectors
 /// are interleaved point-major: element (row i, point k) at x[i*K + k].
 /// diag() is interleaved the same way (−1 sentinel on masked rows, every
-/// lane). Satisfies the per-lane Jacobi semantics via batched_jacobi_solve.
+/// lane). A JacobiOperator whose lanes jacobi_solve_lanes solves at once.
 class BatchedStencilOperator {
  public:
   /// `rates[k]` is point k's rate vector indexed by NETWORK reaction id
@@ -113,14 +114,6 @@ class BatchedStencilOperator {
   /// sweep of point k at any thread count.
   void multiply(std::span<const real_t> x, std::span<real_t> y) const;
 
-  /// Sweep only the lanes listed in `lanes` (ascending lane indices);
-  /// entries of y belonging to other lanes are left as zero garbage. An
-  /// active lane's values are bitwise those of the full sweep — lanes
-  /// never mix — so the blocked Jacobi driver uses this to stop paying for
-  /// lanes that already converged. Empty `lanes` means all lanes.
-  void multiply_active(std::span<const real_t> x, std::span<real_t> y,
-                       std::span<const int> lanes) const;
-
   /// Modeled per-sweep traffic: the unit table streams ONCE for the whole
   /// batch (reactions x rows), while x reads and y writes scale with K —
   /// the amortization the gpusim batched kernel charges.
@@ -135,21 +128,6 @@ class BatchedStencilOperator {
   util::aligned_vector<real_t> diag_;  ///< interleaved rows x batch
   std::vector<real_t> inf_norms_;      ///< per point
 };
-
-/// Blocked Jacobi over all lanes of a BatchedStencilOperator with
-/// per-point convergence masking:
-/// each lane replays jacobi_solve's exact control flow (initial and
-/// periodic per-lane L1 normalization, residual checks on the shared
-/// check_every/normalize_every schedule, the zero-residual short circuit,
-/// stagnation patience) and FREEZES once it stops — its vector carries
-/// through unchanged while neighbors iterate on. Lane k's iterate,
-/// iteration count, residual and stop reason are bit-identical to
-/// jacobi_solve on point k alone with the same options. Per-lane
-/// `seconds` is the shared wall clock at the lane's stop (attribution,
-/// not an independent measurement). x is interleaved, nrows * batch.
-[[nodiscard]] std::vector<JacobiResult> batched_jacobi_solve(
-    const BatchedStencilOperator& op, std::span<real_t> x,
-    const JacobiOptions& opt = {});
 
 struct EnsembleOptions {
   /// Lanes per batched block; the ensemble is solved in ceil(K/width)

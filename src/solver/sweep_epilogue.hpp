@@ -16,6 +16,9 @@
 //    below) with norm_l1's exact association. The sweep then splits its
 //    rows with parallel_for_aligned(n, kReduceChunk); for any other
 //    epilogue it keeps parallel_for's finer chunking;
+//  * blocks are whole rows: an operator that advances K interleaved lanes
+//    (element (row i, lane q) at y[i*K + q]) passes row bounds, and the
+//    block covers elements [begin*K, end*K);
 //  * an epilogue built with `skip_masked` asserts that x and y already
 //    hold +0 on every row the sweep would flag masked, and that the
 //    epilogue would leave +0 there. The sweep may then skip masked blocks
@@ -102,61 +105,75 @@ inline constexpr std::size_t kEpilogueBlock = 512;
   return bits == 0;
 }
 
-/// Per-kReduceChunk partials of a reduction fused into a sweep epilogue.
-/// Safe under the contract of a reducing epilogue: a chunk's blocks arrive
-/// in row order, never concurrently.
+/// Per-(kReduceChunk-row chunk, lane) partials of a reduction fused into a
+/// sweep epilogue, over `lanes` interleaved lanes (element (row i, lane q)
+/// at v[i*lanes + q]). Safe under the contract of a reducing epilogue: a
+/// chunk's blocks arrive in row order, never concurrently.
 class ChunkPartials {
  public:
-  /// Zeroed partials for an n-row sweep.
-  void reset(std::size_t n) {
-    partial_.assign((n + kReduceChunk - 1) / kReduceChunk, 0.0);
+  /// Zeroed partials for an n-row sweep of `lanes` lanes.
+  void reset(std::size_t n, std::size_t lanes = 1) {
+    lanes_ = lanes;
+    partial_.assign((n + kReduceChunk - 1) / kReduceChunk * lanes, 0.0);
   }
 
-  /// Running sum of |v[i]| over rows [b, e), carried across calls in row
-  /// order: per chunk the additions norm_l1 performs, in its order. An
-  /// all-zero range is skipped — adding +0 to a sum that starts at +0 and
-  /// only grows changes no bit — which spares the serial add chain on
-  /// masked stencil tiles.
+  /// Running sum of |v| per lane over rows [b, e), carried across calls in
+  /// row order: per chunk and lane the additions norm_l1 performs on that
+  /// lane, in its order. An all-zero range is skipped — adding +0 to a sum
+  /// that starts at +0 and only grows changes no bit — which spares the
+  /// serial add chain on masked stencil tiles.
   void add_abs(const real_t* v, std::size_t b, std::size_t e) {
     fold(v, b, e, [](real_t s, real_t a) { return s + a; });
   }
 
-  /// max |v[i]| over rows [b, e); exact in any order.
+  /// max |v| per lane over rows [b, e); exact in any order.
   void max_abs(const real_t* v, std::size_t b, std::size_t e) {
     fold(v, b, e, [](real_t m, real_t a) { return std::max(m, a); });
   }
 
-  /// Partials summed in ascending chunk order from 0.0: bitwise norm_l1
-  /// of the rows fed through add_abs.
-  [[nodiscard]] real_t sum() const {
+  /// Lane q's partials summed in ascending chunk order from 0.0: bitwise
+  /// norm_l1 of the lane's rows fed through add_abs.
+  [[nodiscard]] real_t sum(std::size_t q = 0) const {
     real_t acc = 0.0;
-    for (const real_t p : partial_) acc = acc + p;
+    for (std::size_t c = q; c < partial_.size(); c += lanes_) {
+      acc = acc + partial_[c];
+    }
     return acc;
   }
 
-  /// Largest partial: bitwise norm_inf of the rows fed through max_abs.
-  [[nodiscard]] real_t max() const {
+  /// Lane q's largest partial: bitwise norm_inf of the lane's rows fed
+  /// through max_abs.
+  [[nodiscard]] real_t max(std::size_t q = 0) const {
     real_t acc = 0.0;
-    for (const real_t p : partial_) acc = std::max(acc, p);
+    for (std::size_t c = q; c < partial_.size(); c += lanes_) {
+      acc = std::max(acc, partial_[c]);
+    }
     return acc;
   }
 
  private:
-  /// partial[chunk(i)] = op(partial[chunk(i)], |v[i]|) in row order; an
-  /// all-zero range leaves both folds unchanged and is skipped.
+  /// partial[chunk(i), q] = op(partial[chunk(i), q], |v[i*lanes + q]|) in
+  /// row order; an all-zero range leaves both folds unchanged and is
+  /// skipped.
   template <class Op>
   void fold(const real_t* v, std::size_t b, std::size_t e, Op op) {
-    if (all_zero(v + b, e - b)) return;
+    const std::size_t k = lanes_;
+    if (all_zero(v + b * k, (e - b) * k)) return;
     while (b < e) {
       const std::size_t c = b / kReduceChunk;
       const std::size_t ce = std::min(e, (c + 1) * kReduceChunk);
-      real_t acc = partial_[c];
-      for (std::size_t i = b; i < ce; ++i) acc = op(acc, std::abs(v[i]));
-      partial_[c] = acc;
+      for (std::size_t q = 0; q < k; ++q) {
+        real_t acc = partial_[c * k + q];
+        for (std::size_t i = b; i < ce; ++i) {
+          acc = op(acc, std::abs(v[i * k + q]));
+        }
+        partial_[c * k + q] = acc;
+      }
       b = ce;
     }
   }
 
+  std::size_t lanes_ = 1;
   std::vector<real_t> partial_;
 };
 
@@ -170,7 +187,8 @@ inline void epilogue_pass(std::size_t n, SweepEpilogue epi) {
 }
 
 /// y = (L + U) x with `epi` applied to every output block: the operator's
-/// fused path when it has one, otherwise multiply plus one epilogue pass.
+/// fused path when it has one, otherwise multiply plus one epilogue pass
+/// over op.nrows() rows (of all lanes each).
 template <class Op>
 void fused_sweep(const Op& op, std::span<const real_t> x, std::span<real_t> y,
                  SweepEpilogue epi) {
@@ -178,7 +196,7 @@ void fused_sweep(const Op& op, std::span<const real_t> x, std::span<real_t> y,
     op.multiply(x, y, epi);
   } else {
     op.multiply(x, y);
-    epilogue_pass(y.size(), epi);
+    epilogue_pass(static_cast<std::size_t>(op.nrows()), epi);
   }
 }
 

@@ -24,16 +24,11 @@ namespace cmesolve::util::simdk {
 
 /// One batched-lane stencil sweep chunk (BatchedStencilOperator).
 /// Layout is point-major: element (row i, lane q) lives at x[i*k + q].
-/// Lane freezing is mapped onto the SIMD path by zeroing the frozen
-/// lanes' coefficients (coef[r*k+q] == 0 for frozen q): the frozen lane
-/// then accumulates exact zeros into y, which the caller's "frozen lanes
-/// hold zero garbage" contract already permits, while active lanes see
-/// the identical multiply/add chain as the dense case.
 struct BatchedSweepArgs {
   const real_t* x;            ///< [nrows*k] interleaved input
   real_t* y;                  ///< [nrows*k] interleaved output (chunk zeroed here)
   const real_t* cache;        ///< [nreactions][nrows] unit propensities U[r][src]
-  const real_t* coef;         ///< [nreactions][k] lane coefficients (0 = frozen)
+  const real_t* coef;         ///< [nreactions][k] lane coefficients
   const std::int64_t* strides;  ///< [nreactions] row stride of each reaction
   std::size_t nreactions;
   std::int64_t nrows;
@@ -57,18 +52,12 @@ struct KernelOps {
                           real_t s1, real_t s2, std::size_t n);
   /// x[i] *= a
   void (*scale)(real_t* x, real_t a, std::size_t n);
-  /// Fused Jacobi scale+swap: v = -nx[i]/d[i]; nx[i] = x[i]; x[i] = v.
-  void (*scale_swap)(real_t* x, real_t* nx, const real_t* d, std::size_t n);
-  /// Damped variant: v = (1-omega)*x[i] - omega*nx[i]/d[i]; nx[i] = x[i];
-  /// x[i] = v. Kept separate from scale_swap — at omega == 1 the damped
-  /// formula is NOT bitwise the undamped one (signed-zero differences).
-  void (*scale_swap_damped)(real_t* x, real_t* nx, const real_t* d,
-                            real_t omega, std::size_t n);
   /// Sweep-epilogue Jacobi update, in place on the sweep output:
-  /// y[i] = -y[i]/d[i] — scale_swap's value, without the swap.
+  /// y[i] = -y[i]/d[i].
   void (*jacobi_update)(real_t* y, const real_t* d, std::size_t n);
-  /// Damped: y[i] = (1-omega)*x[i] - (omega*y[i])/d[i] (scale_swap_damped's
-  /// value).
+  /// Damped: y[i] = (1-omega)*x[i] - (omega*y[i])/d[i]. Kept separate from
+  /// jacobi_update — at omega == 1 the damped formula is NOT bitwise the
+  /// undamped one (signed-zero differences).
   void (*jacobi_update_damped)(real_t* y, const real_t* x, const real_t* d,
                                real_t omega, std::size_t n);
   /// Damped update of rows known to hold d == -1 and y == +0 (wholly masked
@@ -76,17 +65,6 @@ struct KernelOps {
   /// formed once — bitwise jacobi_update_damped on those rows, no division.
   void (*jacobi_update_masked)(real_t* y, const real_t* x, real_t omega,
                                std::size_t n);
-  /// Lane-masked scale+swap over an interleaved [rows][k] block: active
-  /// lanes get the scale_swap update, frozen lanes keep their bits
-  /// (mask mapped onto SIMD blends; frozen nx lanes receive x's bits —
-  /// dead by the frozen-lane contract).
-  void (*lane_scale_swap)(real_t* x, real_t* nx, const real_t* d,
-                          std::size_t rows, std::size_t k,
-                          const std::uint8_t* lane_active);
-  void (*lane_scale_swap_damped)(real_t* x, real_t* nx, const real_t* d,
-                                 real_t omega, std::size_t rows,
-                                 std::size_t k,
-                                 const std::uint8_t* lane_active);
   /// Lane-masked rescale over [rows][k]: x[i*k+q] *= inv[q] where
   /// scale_lane[q] != 0; other lanes keep their bits.
   void (*lane_scale)(real_t* x, std::size_t rows, std::size_t k,

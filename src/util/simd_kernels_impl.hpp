@@ -53,8 +53,8 @@ inline void prefetch_rw(const void* p) noexcept {
 }
 
 // Expands a uint8 lane mask into per-lane all-ones / all-zero double bit
-// patterns so the vector loops can blend. Only the masked lane_* kernels
-// pay for this, once per chunk call (amortized over the chunk's rows).
+// patterns so the vector loops can blend. Only lane_scale pays for this,
+// once per chunk call (amortized over the chunk's rows).
 [[maybe_unused]] std::vector<double> expand_lane_mask(const std::uint8_t* m,
                                                       std::size_t k) {
   std::vector<double> out(k);
@@ -123,44 +123,6 @@ void scale(real_t* x, real_t a, std::size_t n) {
   }
 }
 
-void scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t n) {
-  std::size_t i = 0;
-  if constexpr (kW > 1) {
-    for (; i + kW <= n; i += kW) {
-      const V vx = V::load(x + i);
-      const V v = V::load(nx + i).neg() / V::load(d + i);
-      vx.store(nx + i);
-      v.store(x + i);
-    }
-  }
-  for (; i < n; ++i) {
-    const real_t v = -nx[i] / d[i];
-    nx[i] = x[i];
-    x[i] = v;
-  }
-}
-
-void scale_swap_damped(real_t* x, real_t* nx, const real_t* d, real_t omega,
-                       std::size_t n) {
-  const real_t w1 = 1.0 - omega;
-  std::size_t i = 0;
-  if constexpr (kW > 1) {
-    const V vw1 = V::broadcast(w1);
-    const V vom = V::broadcast(omega);
-    for (; i + kW <= n; i += kW) {
-      const V vx = V::load(x + i);
-      const V v = vw1 * vx - (vom * V::load(nx + i)) / V::load(d + i);
-      vx.store(nx + i);
-      v.store(x + i);
-    }
-  }
-  for (; i < n; ++i) {
-    const real_t v = w1 * x[i] - (omega * nx[i]) / d[i];
-    nx[i] = x[i];
-    x[i] = v;
-  }
-}
-
 void jacobi_update(real_t* y, const real_t* d, std::size_t n) {
   std::size_t i = 0;
   if constexpr (kW > 1) {
@@ -206,94 +168,6 @@ void jacobi_update_masked(real_t* y, const real_t* x, real_t omega,
   }
   for (; i < n; ++i) {
     y[i] = w1 * x[i] - c;
-  }
-}
-
-void lane_scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t rows,
-                     std::size_t k, const std::uint8_t* lane_active) {
-  if constexpr (kW > 1) {
-    if (k >= static_cast<std::size_t>(kW)) {
-      const std::vector<double> mask = expand_lane_mask(lane_active, k);
-      for (std::size_t i = 0; i < rows; ++i) {
-        real_t* px = x + i * k;
-        real_t* pn = nx + i * k;
-        const real_t* pd = d + i * k;
-        std::size_t q = 0;
-        for (; q + kW <= k; q += kW) {
-          const V m = V::load(mask.data() + q);
-          const V vx = V::load(px + q);
-          const V vn = V::load(pn + q);
-          // Frozen lanes divide garbage by a nonzero diagonal and get
-          // blended away — finite/nonzero never traps, result is dead.
-          const V v = vn.neg() / V::load(pd + q);
-          V::select(m, vx, vn).store(pn + q);
-          V::select(m, v, vx).store(px + q);
-        }
-        for (; q < k; ++q) {
-          if (!lane_active[q]) continue;
-          const real_t v = -pn[q] / pd[q];
-          pn[q] = px[q];
-          px[q] = v;
-        }
-      }
-      return;
-    }
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    real_t* px = x + i * k;
-    real_t* pn = nx + i * k;
-    const real_t* pd = d + i * k;
-    for (std::size_t q = 0; q < k; ++q) {
-      if (!lane_active[q]) continue;
-      const real_t v = -pn[q] / pd[q];
-      pn[q] = px[q];
-      px[q] = v;
-    }
-  }
-}
-
-void lane_scale_swap_damped(real_t* x, real_t* nx, const real_t* d,
-                            real_t omega, std::size_t rows, std::size_t k,
-                            const std::uint8_t* lane_active) {
-  const real_t w1 = 1.0 - omega;
-  if constexpr (kW > 1) {
-    if (k >= static_cast<std::size_t>(kW)) {
-      const std::vector<double> mask = expand_lane_mask(lane_active, k);
-      const V vw1 = V::broadcast(w1);
-      const V vom = V::broadcast(omega);
-      for (std::size_t i = 0; i < rows; ++i) {
-        real_t* px = x + i * k;
-        real_t* pn = nx + i * k;
-        const real_t* pd = d + i * k;
-        std::size_t q = 0;
-        for (; q + kW <= k; q += kW) {
-          const V m = V::load(mask.data() + q);
-          const V vx = V::load(px + q);
-          const V vn = V::load(pn + q);
-          const V v = vw1 * vx - (vom * vn) / V::load(pd + q);
-          V::select(m, vx, vn).store(pn + q);
-          V::select(m, v, vx).store(px + q);
-        }
-        for (; q < k; ++q) {
-          if (!lane_active[q]) continue;
-          const real_t v = w1 * px[q] - (omega * pn[q]) / pd[q];
-          pn[q] = px[q];
-          px[q] = v;
-        }
-      }
-      return;
-    }
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    real_t* px = x + i * k;
-    real_t* pn = nx + i * k;
-    const real_t* pd = d + i * k;
-    for (std::size_t q = 0; q < k; ++q) {
-      if (!lane_active[q]) continue;
-      const real_t v = w1 * px[q] - (omega * pn[q]) / pd[q];
-      pn[q] = px[q];
-      px[q] = v;
-    }
   }
 }
 
@@ -647,13 +521,9 @@ const KernelOps kOps = {
     &cmul_add,
     &scaled_cmul_add,
     &scale,
-    &scale_swap,
-    &scale_swap_damped,
     &jacobi_update,
     &jacobi_update_damped,
     &jacobi_update_masked,
-    &lane_scale_swap,
-    &lane_scale_swap_damped,
     &lane_scale,
     &batched_sweep,
 };

@@ -853,7 +853,7 @@ class Verifier {
   /// any thread count. The scenario is turned into a K=3 ensemble (the
   /// compiled rates plus two deterministic rescalings) so the lanes are
   /// genuinely distinct and converge at different iterations, exercising
-  /// the per-lane freeze masking.
+  /// the per-lane stops.
   void check_ensemble() {
     if (jacobi_iterations_ > 100'000) return;  // too stiff to re-solve x6
     build_stencil();

@@ -1,9 +1,10 @@
 // Batched multi-RHS ensemble solver: bitwise parity with the single-RHS
-// path, per-lane convergence masking edge cases, thread-count determinism,
+// path, per-lane stop edge cases, thread-count determinism,
 // and warm starts across pruned/expanded FSP state sets.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/models.hpp"
@@ -62,16 +63,33 @@ JacobiOptions fast_jacobi() {
   return jopt;
 }
 
-void expect_points_bitwise(const EnsembleResult& a, const EnsembleResult& b) {
-  ASSERT_EQ(a.points.size(), b.points.size());
+bool bitwise_equal(real_t a, real_t b) {
+  return std::memcmp(&a, &b, sizeof(real_t)) == 0;
+}
+
+void expect_points_bitwise(const EnsembleResult& a, const EnsembleResult& b,
+                           const std::string& ctx = "") {
+  ASSERT_EQ(a.points.size(), b.points.size()) << ctx;
   for (std::size_t q = 0; q < a.points.size(); ++q) {
     const auto& pa = a.points[q];
     const auto& pb = b.points[q];
-    EXPECT_TRUE(bitwise_equal(pa.p, pb.p)) << "point " << q;
-    EXPECT_EQ(pa.jacobi.iterations, pb.jacobi.iterations) << "point " << q;
-    EXPECT_EQ(pa.jacobi.reason, pb.jacobi.reason) << "point " << q;
-    EXPECT_EQ(pa.gmres_used, pb.gmres_used) << "point " << q;
-    EXPECT_EQ(pa.converged, pb.converged) << "point " << q;
+    const std::string where = ctx + " point " + std::to_string(q);
+    EXPECT_TRUE(bitwise_equal(pa.p, pb.p)) << where;
+    EXPECT_EQ(pa.jacobi.iterations, pb.jacobi.iterations) << where;
+    EXPECT_EQ(pa.jacobi.reason, pb.jacobi.reason) << where;
+    EXPECT_TRUE(bitwise_equal(pa.jacobi.residual, pb.jacobi.residual))
+        << where;
+    EXPECT_EQ(pa.jacobi.flops, pb.jacobi.flops) << where;
+    EXPECT_EQ(pa.jacobi.history_stride, pb.jacobi.history_stride) << where;
+    const auto& ha = pa.jacobi.residual_history;
+    const auto& hb = pb.jacobi.residual_history;
+    ASSERT_EQ(ha.size(), hb.size()) << where;
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha[i].iteration, hb[i].iteration) << where;
+      EXPECT_TRUE(bitwise_equal(ha[i].residual, hb[i].residual)) << where;
+    }
+    EXPECT_EQ(pa.gmres_used, pb.gmres_used) << where;
+    EXPECT_EQ(pa.converged, pb.converged) << where;
   }
 }
 
@@ -147,7 +165,7 @@ TEST(EnsembleBatch, BatchedSolveIsThreadCountInvariant) {
 // --- convergence masking edge cases -----------------------------------------
 
 // One lane runs out of its iteration budget while its neighbors converge
-// and freeze: the frozen lanes' vectors must be exactly what they were at
+// and stop: the stopped lanes' vectors must be exactly what they were at
 // their stop, and the still-running lane must be exactly what the
 // single-RHS path produces — lanes never perturb each other.
 TEST(EnsembleBatch, MixedConvergenceFreezesLanesIndependently) {
@@ -219,6 +237,62 @@ TEST(EnsembleBatch, AllLanesStagnateAndGmresRescues) {
     EXPECT_TRUE(pt.converged);
   }
   expect_points_bitwise(batched, sequential);
+}
+
+// One block whose lanes stop in all three ways — converged, stagnated and
+// out of budget — with a history small enough to compact. Per-check
+// residual ratios of the eight variants settle between 0.07 and 0.90 (at
+// both dampings): the slowest lane's change per check stays under the
+// stagnation threshold, the fastest lanes reach eps, and the rest run out
+// of iterations. Each lane must match its single-RHS solve bit for bit,
+// history and flop count included, at any thread count.
+TEST(EnsembleBatch, OneBlockMixesEveryStopReasonBitwise) {
+  const auto p = tiny_toggle();
+  const auto net = core::models::toggle_switch(p);
+  const StencilOperator anchor(net, core::models::toggle_switch_initial(p));
+  const auto rates = rate_variants(net, 8, /*seed=*/7);
+
+  for (const real_t damping : {1.0, 0.95}) {
+    EnsembleOptions eopt;
+    eopt.batch_width = 8;
+    eopt.continuation = false;
+    eopt.gmres_fallback = false;
+    eopt.jacobi.eps = 1e-10;
+    eopt.jacobi.max_iterations = 2'000;
+    eopt.jacobi.check_every = 50;
+    eopt.jacobi.stagnation_eps = 0.15;
+    eopt.jacobi.history_capacity = 4;
+    eopt.jacobi.damping = damping;
+    auto sopt = eopt;
+    sopt.batched = false;
+    const auto sequential = [&] {
+      ThreadGuard serial(1);
+      return solve_ensemble(anchor.table(), rates, sopt);
+    }();
+
+    bool saw_converged = false;
+    bool saw_stagnated = false;
+    bool saw_maxed = false;
+    bool saw_compacted = false;
+    for (const auto& pt : sequential.points) {
+      saw_converged |= pt.jacobi.reason == StopReason::kConverged;
+      saw_stagnated |= pt.jacobi.reason == StopReason::kStagnated;
+      saw_maxed |= pt.jacobi.reason == StopReason::kMaxIterations;
+      saw_compacted |= pt.jacobi.history_stride > 1;
+    }
+    const std::string ctx = "damping=" + std::to_string(damping);
+    EXPECT_TRUE(saw_converged) << ctx;
+    EXPECT_TRUE(saw_stagnated) << ctx;
+    EXPECT_TRUE(saw_maxed) << ctx;
+    EXPECT_TRUE(saw_compacted) << ctx;
+
+    for (const int threads : {1, 2, 8}) {
+      ThreadGuard guard(threads);
+      const auto batched = solve_ensemble(anchor.table(), rates, eopt);
+      expect_points_bitwise(batched, sequential,
+                            ctx + " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 // Phage lambda's box carries masked rows (derived-count violations): every
@@ -353,55 +427,7 @@ TEST(EnsembleBatch, WarmStartAcrossPrunedStateSet) {
   expect_points_bitwise(batched, sequential);
 }
 
-// --- operator-level masking --------------------------------------------------
-
-TEST(EnsembleBatch, MultiplyActivePartialLanesMatchesFullSweep) {
-  const auto p = tiny_toggle();
-  const auto net = core::models::toggle_switch(p);
-  const StencilOperator anchor(net, core::models::toggle_switch_initial(p));
-  const auto rates = rate_variants(net, 4);
-  const EnsembleStructure structure(anchor.table());
-  const BatchedStencilOperator op(structure, rates);
-  const auto n = static_cast<std::size_t>(op.nrows());
-  const auto kk = static_cast<std::size_t>(op.batch());
-
-  Xoshiro256 rng(7);
-  std::vector<real_t> x(n * kk);
-  for (auto& v : x) v = rng.uniform(0.0, 1.0);
-  std::vector<real_t> y_full(n * kk);
-  op.multiply(x, y_full);
-
-  const real_t sentinel = -123.25;
-  std::vector<real_t> y_part(n * kk, sentinel);
-  const std::vector<int> lanes = {0, 2, 3};
-  op.multiply_active(x, y_part, lanes);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t q = 0; q < kk; ++q) {
-      const std::size_t j = i * kk + q;
-      if (q == 1) {
-        // The contract: frozen lanes carry zero garbage, never sweep
-        // values — the driver must not read them.
-        EXPECT_EQ(y_part[j], 0.0) << "frozen lane swept at row " << i;
-      } else {
-        EXPECT_EQ(y_part[j], y_full[j]) << "lane " << q << " row " << i;
-      }
-    }
-  }
-
-  // The masked sweep is thread-count invariant like the full one.
-  std::vector<real_t> y_t1(n * kk, sentinel);
-  std::vector<real_t> y_t8(n * kk, sentinel);
-  {
-    ThreadGuard guard(1);
-    op.multiply_active(x, y_t1, lanes);
-  }
-  {
-    ThreadGuard guard(8);
-    op.multiply_active(x, y_t8, lanes);
-  }
-  EXPECT_TRUE(bitwise_equal(y_t1, y_part));
-  EXPECT_TRUE(bitwise_equal(y_t8, y_part));
-}
+// --- operator-level sweep ------------------------------------------------------
 
 TEST(EnsembleBatch, RowOuterSweepMatchesPerLaneStencilAtEveryThreadCountAndIsa) {
   // Phage lambda 6/3 at K = 4 puts the sweep's stream footprint over the

@@ -121,14 +121,14 @@ JacobiResult unfused_jacobi(const Op& op, real_t a_inf_norm,
   normalize_l1(x);
   for (std::uint64_t it = 1; it <= opt.max_iterations; ++it) {
     op.multiply(x, next);
-    util::parallel_for(n, [&](std::size_t b, std::size_t e) {
-      if (omega == 1.0) {
-        ko.scale_swap(x.data() + b, next.data() + b, d.data() + b, e - b);
-      } else {
-        ko.scale_swap_damped(x.data() + b, next.data() + b, d.data() + b,
-                             omega, e - b);
-      }
-    });
+    // The scale+swap pass: x takes the new iterate, next the old one.
+    for (std::size_t i = 0; i < n; ++i) {
+      const real_t v = omega == 1.0
+                           ? -next[i] / d[i]
+                           : (1.0 - omega) * x[i] - (omega * next[i]) / d[i];
+      next[i] = x[i];
+      x[i] = v;
+    }
     out.iterations = it;
     if (opt.normalize_every > 0 && it % opt.normalize_every == 0) {
       obs::flight("jacobi.l1_drift", obs::FlightKind::kNormalization, it,
