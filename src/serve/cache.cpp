@@ -1,7 +1,5 @@
 #include "serve/cache.hpp"
 
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "verify/repro_io.hpp"
@@ -12,39 +10,7 @@ std::string cache_key(const verify::Scenario& sc) {
   return verify::serialize_repro(sc);
 }
 
-std::string family_key(const verify::Scenario& sc) {
-  verify::Scenario skel = sc;
-  skel.name.clear();
-  skel.seed = 0;
-  skel.archetype.clear();
-  for (auto& r : skel.reactions) r.rate = 1.0;
-  return verify::serialize_repro(skel);
-}
-
-std::vector<real_t> log_rates(const verify::Scenario& sc) {
-  std::vector<real_t> out;
-  out.reserve(sc.reactions.size());
-  for (const auto& r : sc.reactions) {
-    if (!(r.rate > 0.0)) return {};
-    out.push_back(std::log(r.rate));
-  }
-  return out;
-}
-
-real_t log_rate_dist2(const std::vector<real_t>& a,
-                      const std::vector<real_t>& b) {
-  if (a.empty() || a.size() != b.size()) {
-    return std::numeric_limits<real_t>::infinity();
-  }
-  real_t s = 0.0;
-  for (std::size_t j = 0; j < a.size(); ++j) {
-    const real_t dl = a[j] - b[j];
-    s += dl * dl;
-  }
-  return s;
-}
-
-std::shared_ptr<const std::vector<real_t>> ResultCache::find_exact(
+std::shared_ptr<const CachedSolution> ResultCache::find_exact(
     const std::string& key) {
   std::lock_guard<std::mutex> lk(m_);
   const auto it = index_.find(key);
@@ -54,49 +20,22 @@ std::shared_ptr<const std::vector<real_t>> ResultCache::find_exact(
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.exact_hits;
-  return it->second->p;
+  return it->second->sol;
 }
 
-std::optional<WarmSeed> ResultCache::find_near(const std::string& family,
-                                               const std::vector<real_t>& logr,
-                                               real_t max_dist2) {
-  std::lock_guard<std::mutex> lk(m_);
-  const Entry* best = nullptr;
-  real_t best_d = max_dist2;
-  for (const Entry& e : lru_) {
-    if (e.family != family) continue;
-    const real_t d = log_rate_dist2(logr, e.logr);
-    if (d > best_d) continue;
-    // Strictly-closer replaces; ties keep the first hit, which is the most
-    // recently inserted/served entry (iteration is LRU-front-first).
-    if (best == nullptr || d < best_d) {
-      best = &e;
-      best_d = d;
-    }
-  }
-  if (best == nullptr) {
-    ++stats_.warm_misses;
-    return std::nullopt;
-  }
-  ++stats_.warm_hits;
-  return WarmSeed{*best->p, best_d, best->key};
-}
-
-void ResultCache::insert(const std::string& key, const std::string& family,
-                         std::vector<real_t> logr, std::vector<real_t> p) {
+void ResultCache::insert(const std::string& key, std::vector<real_t> p,
+                         real_t residual) {
   if (capacity_ == 0) return;
+  auto sol = std::make_shared<const CachedSolution>(
+      CachedSolution{std::move(p), residual});
   std::lock_guard<std::mutex> lk(m_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->logr = std::move(logr);
-    it->second->p =
-        std::make_shared<const std::vector<real_t>>(std::move(p));
+    it->second->sol = std::move(sol);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{
-      key, family, std::move(logr),
-      std::make_shared<const std::vector<real_t>>(std::move(p))});
+  lru_.push_front(Entry{key, std::move(sol)});
   index_.emplace(key, lru_.begin());
   ++stats_.insertions;
   while (lru_.size() > capacity_) {
@@ -104,7 +43,6 @@ void ResultCache::insert(const std::string& key, const std::string& family,
     lru_.pop_back();
     ++stats_.evictions;
   }
-  stats_.entries = lru_.size();
 }
 
 CacheStats ResultCache::stats() const {
@@ -112,11 +50,6 @@ CacheStats ResultCache::stats() const {
   CacheStats s = stats_;
   s.entries = lru_.size();
   return s;
-}
-
-std::size_t ResultCache::size() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return lru_.size();
 }
 
 }  // namespace cmesolve::serve

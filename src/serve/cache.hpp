@@ -1,21 +1,13 @@
 #pragma once
 //
-// Result / warm-start cache for the solver daemon (DESIGN.md §15).
+// Exact result cache for the solver daemon (DESIGN.md §15).
 //
-// Two lookup paths over one LRU store:
-//
-//   * Exact: keyed by the canonical .repro.json bytes of the scenario
-//     (serialize_repro is byte-stable by contract — repro_io.hpp — so equal
-//     scenarios hash equal and the cached stationary vector can be returned
-//     bitwise-identical to the cold solve that produced it).
-//   * Nearest-neighbor warm start: keyed by the scenario's *family* — the
-//     canonical bytes with the rate vector and identity fields (name, seed,
-//     archetype) blanked out. Requests in the same family share topology,
-//     capacities, initial state and solver configuration, so their state
-//     spaces enumerate identically and a cached stationary vector is a
-//     legal initial iterate. The probe picks the family entry closest in
-//     log-rate space (the PR-6 continuation metric: squared Euclidean
-//     distance over log r_j) within `max_dist2`.
+// One LRU store keyed by the canonical .repro.json bytes of the scenario
+// (serialize_repro is byte-stable by contract — repro_io.hpp — so equal
+// scenarios hash equal and the cached stationary vector can be returned
+// bitwise-identical to the cold solve that produced it). A miss is always
+// solved cold: nothing in the store seeds another request's solve, so a
+// response depends only on its request bytes.
 //
 // Thread safety: every public method locks an internal mutex; the serve
 // worker pool probes and inserts concurrently.
@@ -24,7 +16,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,48 +24,24 @@
 #include "util/types.hpp"
 #include "verify/scenario.hpp"
 
-#include <mutex>
-
 namespace cmesolve::serve {
 
 /// Canonical cache key: the scenario's byte-stable .repro.json form.
 [[nodiscard]] std::string cache_key(const verify::Scenario& sc);
 
-/// Family key: canonical bytes of the scenario with name/seed/archetype
-/// blanked and every reaction rate forced to 1.0. Scenarios sharing a
-/// family differ ONLY in rates, so they enumerate the same state space in
-/// the same order (rates scale matrix entries; they never add or remove
-/// reachable states because propensity positivity is rate-independent for
-/// positive rates). Jacobi options are deliberately kept in the key:
-/// conservative, but it guarantees a warm-started solve runs under the same
-/// stopping contract as the entry it borrowed from.
-[[nodiscard]] std::string family_key(const verify::Scenario& sc);
-
-/// Per-reaction log rates (the continuation/warm-start coordinates).
-/// Empty when any rate is non-positive — such scenarios never warm-start,
-/// because the log-space metric is undefined for them.
-[[nodiscard]] std::vector<real_t> log_rates(const verify::Scenario& sc);
-
-/// Squared Euclidean distance in log-rate space; +inf on dimension mismatch
-/// or empty coordinates.
-[[nodiscard]] real_t log_rate_dist2(const std::vector<real_t>& a,
-                                    const std::vector<real_t>& b);
-
 struct CacheStats {
   std::uint64_t exact_hits = 0;
   std::uint64_t exact_misses = 0;
-  std::uint64_t warm_hits = 0;    ///< NN probes that returned a seed vector
-  std::uint64_t warm_misses = 0;  ///< NN probes that found nothing in range
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
 };
 
-/// A warm-start seed returned by the NN probe.
-struct WarmSeed {
-  std::vector<real_t> p;   ///< cached stationary vector (copy)
-  real_t dist2 = 0.0;      ///< log-rate distance to the request
-  std::string source_key;  ///< exact key of the entry it came from
+/// A converged solve as the cache holds it: the stationary vector and the
+/// residual the solve stopped at, so a hit reports what the cold solve did.
+struct CachedSolution {
+  std::vector<real_t> p;
+  real_t residual = 0.0;
 };
 
 class ResultCache {
@@ -82,33 +50,20 @@ class ResultCache {
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Exact probe. On hit the entry moves to the LRU front and the cached
-  /// vector is returned (shared, immutable).
-  [[nodiscard]] std::shared_ptr<const std::vector<real_t>> find_exact(
+  /// solution is returned (shared, immutable); nullptr on a miss.
+  [[nodiscard]] std::shared_ptr<const CachedSolution> find_exact(
       const std::string& key);
-
-  /// Nearest-neighbor probe within the family: the resident entry with the
-  /// smallest log-rate distance <= max_dist2. (Callers probe only after an
-  /// exact miss, so a distance-0 result is a whitespace-distinct twin, not
-  /// the request itself.) Does not touch LRU order — borrowing a seed is
-  /// not the same as serving the entry.
-  [[nodiscard]] std::optional<WarmSeed> find_near(
-      const std::string& family, const std::vector<real_t>& logr,
-      real_t max_dist2);
 
   /// Insert a converged solution. Replaces an existing entry with the same
   /// key; evicts from the LRU tail when over capacity.
-  void insert(const std::string& key, const std::string& family,
-              std::vector<real_t> logr, std::vector<real_t> p);
+  void insert(const std::string& key, std::vector<real_t> p, real_t residual);
 
   [[nodiscard]] CacheStats stats() const;
-  [[nodiscard]] std::size_t size() const;
 
  private:
   struct Entry {
     std::string key;
-    std::string family;
-    std::vector<real_t> logr;
-    std::shared_ptr<const std::vector<real_t>> p;
+    std::shared_ptr<const CachedSolution> sol;
   };
 
   std::size_t capacity_;

@@ -1,7 +1,11 @@
 #include "serve/controller.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -29,36 +33,38 @@ std::future<SolveResponse> ready_response(SolveResponse r) {
   return p.get_future();
 }
 
+/// The environment value `name` as a T, when the whole string is one
+/// decimal integer that fits; nullopt when unset or anything else.
+template <typename T>
+std::optional<T> env_integer(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return std::nullopt;
+  const char* end = v + std::strlen(v);
+  T n{};
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return n;
+}
+
 }  // namespace
 
 ServeOptions serve_options_from_env() {
   ServeOptions opt;
-  const auto env_size = [](const char* name, std::size_t fallback) {
-    if (const char* v = std::getenv(name)) {
-      const long n = std::atol(v);
-      if (n >= 0) return static_cast<std::size_t>(n);
-    }
-    return fallback;
-  };
-  if (const char* v = std::getenv("CMESOLVE_SERVE_WORKERS")) {
-    const int n = std::atoi(v);
-    if (n > 0) opt.workers = n;
+  if (const auto n = env_integer<int>("CMESOLVE_SERVE_WORKERS"); n && *n > 0) {
+    opt.workers = *n;
   }
-  opt.queue_capacity = env_size("CMESOLVE_SERVE_QUEUE_CAP", opt.queue_capacity);
-  opt.cache_capacity = env_size("CMESOLVE_SERVE_CACHE_CAP", opt.cache_capacity);
-  if (const char* v = std::getenv("CMESOLVE_SERVE_WARM_START")) {
-    opt.warm_start = std::atoi(v) != 0;
+  if (const auto n = env_integer<std::size_t>("CMESOLVE_SERVE_QUEUE_CAP")) {
+    opt.queue_capacity = *n;
   }
-  if (const char* v = std::getenv("CMESOLVE_SERVE_MAX_DIST")) {
-    const double d = std::atof(v);
-    if (d >= 0.0) opt.warm_max_dist2 = d;
+  if (const auto n = env_integer<std::size_t>("CMESOLVE_SERVE_CACHE_CAP")) {
+    opt.cache_capacity = *n;
   }
   return opt;
 }
 
 Controller::Controller(ServeOptions opt)
     : opt_(opt), cache_(opt.cache_capacity), paused_(opt.start_paused) {
-  if (opt_.workers < 1) opt_.workers = 1;
+  opt_.workers = std::clamp(opt_.workers, 1, util::kMaxThreadCap);
   workers_.reserve(static_cast<std::size_t>(opt_.workers));
   for (int i = 0; i < opt_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -213,7 +219,8 @@ void Controller::process(Request& rq) {
     r.status = Status::kOk;
     r.cache_hit = true;
     r.reason = solver::StopReason::kConverged;
-    r.p = *cached;
+    r.residual = cached->residual;
+    r.p = cached->p;
     r.states = r.p.size();
     r.solve_seconds = seconds_since(started);
     rq.promise.set_value(std::move(r));
@@ -234,26 +241,7 @@ void Controller::process(Request& rq) {
     const solver::CsrOperator op(a);
     const auto n = static_cast<std::size_t>(a.nrows);
     std::vector<real_t> x(n);
-
-    const std::string family = family_key(rq.sc);
-    const std::vector<real_t> logr = log_rates(rq.sc);
-    bool warm = false;
-    if (opt_.warm_start && !logr.empty()) {
-      if (auto seed = cache_.find_near(family, logr, opt_.warm_max_dist2)) {
-        // Same family => same enumeration => same size; the size check plus
-        // the hardened warm_restart fallback make a stale or foreign entry
-        // cost a cold start instead of UB.
-        std::vector<index_t> remap(seed->p.size());
-        for (std::size_t i = 0; i < remap.size(); ++i) {
-          remap[i] = static_cast<index_t>(i);
-        }
-        warm = seed->p.size() == n &&
-               solver::warm_restart(seed->p, remap, x);
-        if (warm) r.warm_dist2 = seed->dist2;
-      }
-    }
-    if (!warm) solver::fill_uniform(x);
-    r.warm_start_applied = warm;
+    solver::fill_uniform(x);
 
     solver::JacobiOptions jopt;
     jopt.eps = rq.sc.jacobi_eps;
@@ -267,15 +255,10 @@ void Controller::process(Request& rq) {
     r.reason = jr.reason;
     r.iterations = jr.iterations;
     r.residual = jr.residual;
-    if (warm) {
-      warm_starts_.fetch_add(1, std::memory_order_relaxed);
-      warm_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
-    } else {
-      cold_solves_.fetch_add(1, std::memory_order_relaxed);
-      cold_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
-    }
+    cold_solves_.fetch_add(1, std::memory_order_relaxed);
+    cold_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
     if (jr.reason == solver::StopReason::kConverged) {
-      cache_.insert(rq.key, family, logr, x);
+      cache_.insert(rq.key, x, jr.residual);
     }
     r.p = std::move(x);
     completed_.fetch_add(1, std::memory_order_relaxed);
@@ -297,9 +280,7 @@ ServeStats Controller::stats() const {
   s.shed = shed_.load(std::memory_order_relaxed);
   s.queue_evicted = queue_evicted_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   s.cold_solves = cold_solves_.load(std::memory_order_relaxed);
-  s.warm_iterations = warm_iterations_.load(std::memory_order_relaxed);
   s.cold_iterations = cold_iterations_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   return s;

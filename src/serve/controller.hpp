@@ -11,8 +11,8 @@
 // Request lifecycle:
 //
 //   submit -> [parse/admission] -> queued -> [worker] -> exact-cache probe
-//          -> (hit: respond) | (miss: build -> warm-start probe -> solve
-//          -> cache insert -> respond)
+//          -> (hit: respond) | (miss: build -> cold solve from the uniform
+//          vector -> cache insert if converged -> respond)
 //
 // Status codes:
 //   kOk       solve completed (see `reason` for how it stopped) or served
@@ -32,7 +32,10 @@
 // CMESOLVE_THREADS — results are bit-identical to a single-threaded solve
 // by the determinism contract, the shared pool is never driven from two
 // threads, and concurrency comes from solving independent requests in
-// parallel. Per-solve obs metrics are suppressed (obs::SuppressMetrics);
+// parallel. Every miss starts from the uniform vector and a hit returns
+// the bits of that same cold solve, so a response depends only on its
+// request bytes — not on arrival order, worker count or what else is
+// cached. Per-solve obs metrics are suppressed (obs::SuppressMetrics);
 // the daemon publishes aggregate statistics instead (workload.hpp).
 //
 #include <atomic>
@@ -89,33 +92,28 @@ struct SolveResponse {
   std::size_t states = 0;
   solver::StopReason reason = solver::StopReason::kMaxIterations;
   std::uint64_t iterations = 0;  ///< 0 for a cache hit
-  real_t residual = 0.0;
+  real_t residual = 0.0;  ///< a hit reports the residual of its cold solve
 
   bool cache_hit = false;
-  bool warm_start_applied = false;  ///< warm_restart accepted the seed
-  real_t warm_dist2 = -1.0;         ///< log-rate distance of the seed; <0 none
+  bool warm_start_applied = false;  ///< always false; perfbench/ reads it
 
   double queue_seconds = 0.0;  ///< admission -> dequeue (volatile)
   double solve_seconds = 0.0;  ///< dequeue -> response (volatile)
 };
 
 struct ServeOptions {
-  int workers = 2;
+  int workers = 2;  ///< clamped to [1, util::kMaxThreadCap]
   std::size_t queue_capacity = 64;   ///< queued (not in-flight) requests
   std::size_t cache_capacity = 128;  ///< resident ResultCache entries
-  bool warm_start = true;
-  /// NN warm-start acceptance radius (squared log-rate distance). 4.0 means
-  /// "rates within e^2 ~ 7.4x in aggregate" — generous for continuation
-  /// sweeps, far for unrelated parameter points.
-  real_t warm_max_dist2 = 4.0;
   /// Test seam: start with the workers parked so a test can fill the queue
   /// deterministically, then call resume().
   bool start_paused = false;
 };
 
-/// ServeOptions from CMESOLVE_SERVE_* environment variables (unset keeps
-/// the default): WORKERS, QUEUE_CAP, CACHE_CAP, WARM_START (0/1),
-/// MAX_DIST (squared log-rate radius).
+/// ServeOptions from CMESOLVE_SERVE_* environment variables: WORKERS,
+/// QUEUE_CAP, CACHE_CAP. Each must be a whole decimal integer (WORKERS
+/// positive, the capacities nonnegative); an unset or unparsable value
+/// keeps the default.
 [[nodiscard]] ServeOptions serve_options_from_env();
 
 /// Aggregate daemon statistics (monotonic counters).
@@ -127,10 +125,11 @@ struct ServeStats {
   std::uint64_t shed = 0;           ///< kShed responses (incl. evictions)
   std::uint64_t queue_evicted = 0;  ///< shed specifically by priority eviction
   std::uint64_t cache_hits = 0;
-  std::uint64_t warm_starts = 0;  ///< solves seeded from a neighbor
-  std::uint64_t cold_solves = 0;  ///< solves seeded uniformly
-  std::uint64_t warm_iterations = 0;  ///< Jacobi iterations, warm solves
-  std::uint64_t cold_iterations = 0;  ///< Jacobi iterations, cold solves
+  std::uint64_t cold_solves = 0;      ///< solves run (every miss is cold)
+  std::uint64_t cold_iterations = 0;  ///< Jacobi iterations of those solves
+  // Always 0 (every miss solves cold); kept while perfbench/ reads them.
+  std::uint64_t warm_starts = 0;
+  std::uint64_t warm_iterations = 0;
   CacheStats cache;
 };
 
@@ -198,9 +197,7 @@ class Controller {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> queue_evicted_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> warm_starts_{0};
   std::atomic<std::uint64_t> cold_solves_{0};
-  std::atomic<std::uint64_t> warm_iterations_{0};
   std::atomic<std::uint64_t> cold_iterations_{0};
 };
 

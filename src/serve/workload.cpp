@@ -168,9 +168,6 @@ LoadReport run_closed_loop(Controller& ctl,
             ++rep.ok;
             if (resp.cache_hit) {
               ++rep.cache_hits;
-            } else if (resp.warm_start_applied) {
-              ++rep.warm_starts;
-              rep.warm_iterations += resp.iterations;
             } else {
               ++rep.cold_solves;
               rep.cold_iterations += resp.iterations;
@@ -208,10 +205,6 @@ LoadReport run_closed_loop(Controller& ctl,
                      ? static_cast<double>(rep.cache_hits) /
                            static_cast<double>(rep.ok)
                      : 0.0;
-  rep.warm_mean_iters =
-      rep.warm_starts > 0 ? static_cast<double>(rep.warm_iterations) /
-                                static_cast<double>(rep.warm_starts)
-                          : 0.0;
   rep.cold_mean_iters =
       rep.cold_solves > 0 ? static_cast<double>(rep.cold_iterations) /
                                 static_cast<double>(rep.cold_solves)
@@ -231,7 +224,7 @@ LoadReport run_closed_loop(Controller& ctl,
 void publish_load_report(const LoadReport& rep, bool deterministic) {
   // Count-shaped numbers: deterministic counters in the sequential bench
   // mode (the ledger compares them exactly), volatile gauges otherwise —
-  // under concurrency the arrival interleaving decides hit/warm splits.
+  // under concurrency the arrival interleaving decides hit/cold splits.
   const auto put = [&](const char* name, double v) {
     obs::gauge(name, v, /*is_volatile=*/!deterministic);
   };
@@ -241,12 +234,9 @@ void publish_load_report(const LoadReport& rep, bool deterministic) {
   put("serve.load.failed", static_cast<double>(rep.failed));
   put("serve.load.invalid", static_cast<double>(rep.invalid));
   put("serve.load.cache_hits", static_cast<double>(rep.cache_hits));
-  put("serve.load.warm_starts", static_cast<double>(rep.warm_starts));
   put("serve.load.cold_solves", static_cast<double>(rep.cold_solves));
-  put("serve.load.warm_iterations", static_cast<double>(rep.warm_iterations));
   put("serve.load.cold_iterations", static_cast<double>(rep.cold_iterations));
   put("serve.load.hit_rate", rep.hit_rate);
-  put("serve.load.warm_mean_iters", rep.warm_mean_iters);
   put("serve.load.cold_mean_iters", rep.cold_mean_iters);
   obs::gauge("serve.load.p50_ms", rep.p50_ms, /*is_volatile=*/true);
   obs::gauge("serve.load.p99_ms", rep.p99_ms, /*is_volatile=*/true);

@@ -31,9 +31,9 @@ namespace cmesolve::serve {
     std::string name, const core::ReactionNetwork& net,
     core::State initial, std::size_t max_states, real_t damping = 0.8);
 
-/// A parameter-sweep family: one base scenario plus rate-jittered variants.
-/// All variants share the base's family_key (same topology/capacities/
-/// initial/solver config), so they warm-start off each other.
+/// A parameter-sweep family: one base scenario plus rate-jittered variants
+/// sharing its topology, capacities, initial state and solver config. Each
+/// variant has its own canonical bytes, so each is its own cache entry.
 struct SweepFamily {
   std::string name;
   std::vector<verify::Scenario> variants;
@@ -80,12 +80,9 @@ struct LoadReport {
   std::uint64_t failed = 0;
   std::uint64_t invalid = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t cold_solves = 0;
-  std::uint64_t warm_iterations = 0;
+  std::uint64_t cold_solves = 0;  ///< ok responses that were not hits
   std::uint64_t cold_iterations = 0;
   double hit_rate = 0.0;        ///< cache_hits / max(ok, 1)
-  double warm_mean_iters = 0.0;
   double cold_mean_iters = 0.0;
   double p50_ms = 0.0;  ///< end-to-end request latency percentiles
   double p99_ms = 0.0;

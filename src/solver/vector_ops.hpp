@@ -119,8 +119,8 @@ inline void fill_uniform(std::span<real_t> v) {
 }
 
 /// Warm-start vector for a re-solve on a renumbered/extended index set (the
-/// FSP expansion/prune loop, src/fsp/, and the serve warm-start cache,
-/// src/serve/): every new-index entry starts at `fill`, surviving entries
+/// FSP expansion/prune loop, src/fsp/, and the ensemble's continuation
+/// order, src/solver/batched.cpp): every new-index entry starts at `fill`, surviving entries
 /// copy the previous solution through `remap` (old index -> new index,
 /// -1 = dropped), and the result is L1-normalized back to a probability
 /// vector. With remap[i] == i this degenerates to "pad the old landscape
@@ -133,7 +133,7 @@ inline void fill_uniform(std::span<real_t> v) {
 /// or a different conservation elimination), or a mapping that carries no
 /// probability mass at all — falls back to uniform seeding over `out` and
 /// returns false instead of scattering out of bounds. Cold-start cost, not
-/// UB, is the failure mode for a stale cache entry.
+/// UB, is the failure mode for a stale previous vector.
 inline bool warm_restart(std::span<const real_t> prev,
                          std::span<const index_t> remap, std::span<real_t> out,
                          real_t fill = 0.0) {

@@ -15,8 +15,6 @@ namespace cmesolve::util {
 
 namespace {
 
-constexpr int kMaxThreadCap = 256;
-
 std::atomic<int> g_override{0};
 
 #if defined(CMESOLVE_THREADS_ENABLED)

@@ -35,6 +35,10 @@
 
 namespace cmesolve::util {
 
+/// Upper bound on any thread count the library accepts from a setting:
+/// set_max_threads, CMESOLVE_THREADS and the serve worker pool.
+inline constexpr int kMaxThreadCap = 256;
+
 /// Physical parallelism of this host (>= 1).
 [[nodiscard]] int hardware_threads() noexcept;
 
@@ -44,8 +48,8 @@ namespace cmesolve::util {
 [[nodiscard]] int max_threads() noexcept;
 
 /// Override the thread budget (0 restores automatic resolution). Clamped to
-/// [0, 256]. Oversubscription is allowed on purpose: the determinism suite
-/// runs 8 "threads" on any machine.
+/// [0, kMaxThreadCap]. Oversubscription is allowed on purpose: the
+/// determinism suite runs 8 "threads" on any machine.
 void set_max_threads(int n) noexcept;
 
 /// True while the calling thread is executing a pool task. Nested parallel

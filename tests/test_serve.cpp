@@ -1,12 +1,15 @@
-// Tests for the CME-as-a-service subsystem (src/serve/): result cache,
-// warm-start contract, admission/priority scheduling — plus the regression
-// tests for the PR's request-path bugfix sweep (transient truncation
-// accounting, hardened JSON reader, warm_restart fallback).
+// Tests for the CME-as-a-service subsystem (src/serve/): exact result
+// cache, request-only determinism, admission/priority scheduling, strict
+// environment parsing — plus the regression tests for the request-path
+// bugfix sweep (transient truncation accounting, hardened JSON reader,
+// warm_restart fallback).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,12 +34,6 @@ bool bitwise_equal(std::span<const real_t> a, std::span<const real_t> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
 }
 
-real_t l1_distance(std::span<const real_t> a, std::span<const real_t> b) {
-  real_t d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
-  return d;
-}
-
 /// Tiny birth-death chain: 41 states, solves in milliseconds.
 verify::Scenario birth_death(real_t birth, real_t death) {
   verify::Scenario sc;
@@ -58,8 +55,7 @@ verify::Scenario birth_death(real_t birth, real_t death) {
   return sc;
 }
 
-/// Small phage lambda (the ISSUE's warm-start acceptance model), sized for
-/// a unit test.
+/// Small phage lambda, sized for a unit test.
 verify::Scenario small_phage() {
   core::models::PhageLambdaParams p;
   p.cap_ci = p.cap_cro = 5;
@@ -70,44 +66,15 @@ verify::Scenario small_phage() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache keying
+// Exact cache
 // ---------------------------------------------------------------------------
-
-TEST(ServeCache, FamilyKeyIgnoresRatesAndIdentity) {
-  const verify::Scenario a = birth_death(2.0, 1.0);
-  verify::Scenario b = birth_death(17.0, 0.25);
-  b.name = "other-name";
-  b.seed = 99;
-  EXPECT_NE(cache_key(a), cache_key(b));
-  EXPECT_EQ(family_key(a), family_key(b));
-
-  verify::Scenario c = birth_death(2.0, 1.0);
-  c.species[0].capacity = 41;  // different box => different family
-  EXPECT_NE(family_key(a), family_key(c));
-
-  verify::Scenario d = birth_death(2.0, 1.0);
-  d.jacobi_damping = 0.5;  // different solver contract => different family
-  EXPECT_NE(family_key(a), family_key(d));
-}
-
-TEST(ServeCache, LogRateDistanceMatchesContinuationMetric) {
-  const verify::Scenario a = birth_death(2.0, 1.0);
-  const verify::Scenario b = birth_death(2.0 * std::exp(1.0), 1.0);
-  const real_t d2 = log_rate_dist2(log_rates(a), log_rates(b));
-  EXPECT_NEAR(d2, 1.0, 1e-12);
-  // Non-positive rates carry no log coordinates and never warm-start.
-  verify::Scenario z = birth_death(2.0, 1.0);
-  z.reactions[0].rate = 0.0;
-  EXPECT_TRUE(log_rates(z).empty());
-  EXPECT_TRUE(std::isinf(log_rate_dist2(log_rates(z), log_rates(a))));
-}
 
 TEST(ServeCache, LruEvictsOldestAndCountsIt) {
   ResultCache cache(2);
-  cache.insert("k1", "f", {0.0}, {1.0});
-  cache.insert("k2", "f", {0.0}, {1.0});
+  cache.insert("k1", {1.0}, 0.0);
+  cache.insert("k2", {1.0}, 0.0);
   ASSERT_NE(cache.find_exact("k1"), nullptr);  // bump k1; k2 is now oldest
-  cache.insert("k3", "f", {0.0}, {1.0});
+  cache.insert("k3", {1.0}, 0.0);
   EXPECT_EQ(cache.find_exact("k2"), nullptr);
   EXPECT_NE(cache.find_exact("k1"), nullptr);
   EXPECT_NE(cache.find_exact("k3"), nullptr);
@@ -116,23 +83,8 @@ TEST(ServeCache, LruEvictsOldestAndCountsIt) {
   EXPECT_EQ(s.entries, 2u);
 }
 
-TEST(ServeCache, NearProbeRespectsFamilyAndRadius) {
-  ResultCache cache(8);
-  cache.insert("a", "famA", {0.0}, {0.5, 0.5});
-  cache.insert("b", "famB", {0.0}, {0.25, 0.75});
-  cache.insert("c", "famA", {3.0}, {0.75, 0.25});
-  const auto near = cache.find_near("famA", {0.1}, 1.0);
-  ASSERT_TRUE(near.has_value());
-  EXPECT_EQ(near->source_key, "a");
-  EXPECT_NEAR(near->dist2, 0.01, 1e-12);
-  // famB's closer coordinates must not leak across families.
-  EXPECT_FALSE(cache.find_near("famC", {0.0}, 100.0).has_value());
-  // Outside the radius: no seed.
-  EXPECT_FALSE(cache.find_near("famA", {10.0}, 1.0).has_value());
-}
-
 // ---------------------------------------------------------------------------
-// Daemon: cache hits, warm starts, scheduling
+// Daemon: cache hits, determinism, scheduling, environment
 // ---------------------------------------------------------------------------
 
 TEST(Serve, CacheHitIsBitwiseIdenticalToTheColdSolve) {
@@ -151,6 +103,10 @@ TEST(Serve, CacheHitIsBitwiseIdenticalToTheColdSolve) {
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.iterations, 0u);
   EXPECT_TRUE(bitwise_equal(hit.p, cold.p));
+  // A hit reports the residual its vector was solved to, not 0.
+  EXPECT_GT(cold.residual, 0.0);
+  EXPECT_EQ(hit.residual, cold.residual);
+  EXPECT_EQ(hit.reason, cold.reason);
 
   // Whitespace-distinct wire bytes of the same scenario hit too: the key is
   // the canonical re-serialization, not the raw input.
@@ -163,59 +119,32 @@ TEST(Serve, CacheHitIsBitwiseIdenticalToTheColdSolve) {
   EXPECT_EQ(s.cold_solves, 1u);
 }
 
-TEST(Serve, NearMissWarmStartConvergesToTheSameAnswerInFewerIterations) {
+TEST(Serve, ResponseDependsOnlyOnItsRequestBytes) {
+  // A near miss of a cached request (2% on the CI synthesis rates, same
+  // topology) must come back with the same bits whether or not its
+  // neighbour was solved first: every miss starts from the uniform vector.
   const verify::Scenario base = small_phage();
-  // A genuinely near miss: 2% on the CI synthesis rates. Jacobi's
-  // asymptotic rate is start-independent, so the warm start buys the
-  // log(err0 ratio) head start — at check_every=100 granularity that needs
-  // the seed to be close to show up.
   verify::Scenario variant = base;
   variant.name = "phage-small-up";
   for (auto& r : variant.reactions) {
     if (r.name == "synthCI_basal" || r.name == "synthCI_active") r.rate *= 1.02;
   }
+  for (const int workers : {1, 2}) {
+    ServeOptions opt;
+    opt.workers = workers;
+    Controller fresh(opt);
+    const SolveResponse alone = fresh.submit(verify::Scenario(variant)).get();
+    ASSERT_EQ(alone.status, Status::kOk);
 
-  // Cold reference for the variant (warm start off).
-  ServeOptions cold_opt;
-  cold_opt.workers = 1;
-  cold_opt.warm_start = false;
-  Controller cold_ctl(cold_opt);
-  SolveResponse cold = cold_ctl.submit(verify::Scenario(variant)).get();
-  ASSERT_EQ(cold.status, Status::kOk);
-  ASSERT_FALSE(cold.warm_start_applied);
-
-  // Warm path: solve the base first, then the near-miss variant.
-  ServeOptions warm_opt;
-  warm_opt.workers = 1;
-  Controller warm_ctl(warm_opt);
-  ASSERT_EQ(warm_ctl.submit(verify::Scenario(base)).get().status, Status::kOk);
-  SolveResponse warm = warm_ctl.submit(verify::Scenario(variant)).get();
-  ASSERT_EQ(warm.status, Status::kOk);
-  EXPECT_FALSE(warm.cache_hit);
-  EXPECT_TRUE(warm.warm_start_applied);
-  EXPECT_GE(warm.warm_dist2, 0.0);
-
-  // Same fixed point (both converged to eps), measurably fewer sweeps.
-  EXPECT_LT(warm.iterations, cold.iterations);
-  EXPECT_LT(l1_distance(warm.p, cold.p), 1e-6);
-}
-
-TEST(Serve, UniformRateScalingWarmStartsToAnImmediateConvergence) {
-  // Scaling every rate by the same factor scales A but not its null space:
-  // the cached base solution IS the variant's stationary vector, so the
-  // warm-started solve converges at the first residual check.
-  const verify::Scenario base = birth_death(2.0, 1.0);
-  verify::Scenario scaled = birth_death(2.0 * 1.5, 1.0 * 1.5);
-  ServeOptions opt;
-  opt.workers = 1;
-  Controller ctl(opt);
-  SolveResponse cold = ctl.submit(verify::Scenario(base)).get();
-  ASSERT_EQ(cold.status, Status::kOk);
-  SolveResponse warm = ctl.submit(verify::Scenario(scaled)).get();
-  ASSERT_EQ(warm.status, Status::kOk);
-  EXPECT_TRUE(warm.warm_start_applied);
-  EXPECT_LT(warm.iterations, cold.iterations);
-  EXPECT_LE(warm.iterations, 100u);  // first check_every boundary
+    Controller ctl(opt);
+    ASSERT_EQ(ctl.submit(verify::Scenario(base)).get().status, Status::kOk);
+    const SolveResponse after = ctl.submit(verify::Scenario(variant)).get();
+    ASSERT_EQ(after.status, Status::kOk);
+    EXPECT_FALSE(after.cache_hit);
+    EXPECT_TRUE(bitwise_equal(after.p, alone.p)) << "workers=" << workers;
+    EXPECT_EQ(after.iterations, alone.iterations) << "workers=" << workers;
+    EXPECT_EQ(after.residual, alone.residual) << "workers=" << workers;
+  }
 }
 
 TEST(Serve, QueueFullShedsAndPriorityEvictsTheYoungestLowPriority) {
@@ -304,6 +233,63 @@ TEST(Serve, AbsorbingScenarioFailsWithTheSolverDiagnostic) {
   EXPECT_NE(r.error.find("zero diagonal"), std::string::npos);
 }
 
+/// Sets an environment variable for one scope and restores the previous
+/// value (or its absence) afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Serve, EnvironmentValuesParseStrictly) {
+  const ServeOptions def;
+  for (const char* bad : {"abc", "", "12abc", "-3", " 7", "+7", "1e3",
+                          "99999999999999999999999"}) {
+    ScopedEnv w("CMESOLVE_SERVE_WORKERS", bad);
+    ScopedEnv q("CMESOLVE_SERVE_QUEUE_CAP", bad);
+    ScopedEnv c("CMESOLVE_SERVE_CACHE_CAP", bad);
+    const ServeOptions o = serve_options_from_env();
+    EXPECT_EQ(o.workers, def.workers) << "value \"" << bad << '"';
+    EXPECT_EQ(o.queue_capacity, def.queue_capacity) << "value \"" << bad << '"';
+    EXPECT_EQ(o.cache_capacity, def.cache_capacity) << "value \"" << bad << '"';
+  }
+  {
+    // A whole integer is taken as given; zero workers is not a pool, zero
+    // capacities are legal (no queue slack, no cache). The worker count is
+    // clamped to util::kMaxThreadCap only when a Controller starts.
+    ScopedEnv w("CMESOLVE_SERVE_WORKERS", "0");
+    ScopedEnv q("CMESOLVE_SERVE_QUEUE_CAP", "0");
+    ScopedEnv c("CMESOLVE_SERVE_CACHE_CAP", "5");
+    const ServeOptions o = serve_options_from_env();
+    EXPECT_EQ(o.workers, def.workers);
+    EXPECT_EQ(o.queue_capacity, 0u);
+    EXPECT_EQ(o.cache_capacity, 5u);
+  }
+  {
+    ScopedEnv w("CMESOLVE_SERVE_WORKERS", "3");
+    EXPECT_EQ(serve_options_from_env().workers, 3);
+  }
+  {
+    ScopedEnv w("CMESOLVE_SERVE_WORKERS", "100000");
+    EXPECT_EQ(serve_options_from_env().workers, 100000);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Load harness
 // ---------------------------------------------------------------------------
@@ -338,8 +324,12 @@ TEST(ServeLoad, ClosedLoopDeterministicModeServesEveryRequest) {
   EXPECT_EQ(rep.shed + rep.failed + rep.invalid, 0u);
   // 6 variants, 40 Zipf-skewed requests: most are repeats.
   EXPECT_GT(rep.cache_hits, 20u);
-  EXPECT_GE(rep.warm_starts + rep.cold_solves, 1u);
-  EXPECT_EQ(rep.cache_hits + rep.warm_starts + rep.cold_solves, rep.ok);
+  EXPECT_EQ(rep.cache_hits + rep.cold_solves, rep.ok);
+  // The cache holds the whole pool, so each distinct variant is solved
+  // exactly once and every other request is a hit.
+  const auto trace = zipf_trace(6, lopt.zipf_s, lopt.requests, lopt.seed);
+  EXPECT_EQ(rep.cold_solves,
+            std::set<std::size_t>(trace.begin(), trace.end()).size());
 }
 
 // ---------------------------------------------------------------------------
@@ -549,24 +539,6 @@ TEST(WarmRestartRegression, AllMassDroppedFallsBackToUniform) {
   std::vector<real_t> out(5, 0.0);
   EXPECT_FALSE(solver::warm_restart(prev, remap, out));
   for (const real_t v : out) EXPECT_EQ(v, 0.2);
-}
-
-TEST(WarmRestartRegression, ServeRecordsWarmStartAppliedHonestly) {
-  // A cache seed that cannot fit (different max_states => different family,
-  // so it is never offered) — here we check the response flag through the
-  // public path: first solve cold, near-miss warm, and the flags disagree.
-  ServeOptions opt;
-  opt.workers = 1;
-  Controller ctl(opt);
-  SolveResponse cold = ctl.submit(verify::Scenario(birth_death(2.0, 1.0))).get();
-  ASSERT_EQ(cold.status, Status::kOk);
-  EXPECT_FALSE(cold.warm_start_applied);
-  EXPECT_LT(cold.warm_dist2, 0.0);
-  SolveResponse warm =
-      ctl.submit(verify::Scenario(birth_death(2.1, 1.0))).get();
-  ASSERT_EQ(warm.status, Status::kOk);
-  EXPECT_TRUE(warm.warm_start_applied);
-  EXPECT_GE(warm.warm_dist2, 0.0);
 }
 
 }  // namespace
