@@ -10,10 +10,6 @@
 #include <string>
 #include <vector>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "bench_common.hpp"
 #include "core/models.hpp"
 #include "core/rate_matrix.hpp"
@@ -96,17 +92,11 @@ BENCHMARK(BM_SpmvWarpedEll);
 
 // --- thread-scaling sweeps ---------------------------------------------------
 //
-// Arg(0) is the thread budget, applied to BOTH the OpenMP loops and the
-// std::thread pool, so one binary sweeps the full parallel stack. Arguments
+// Arg(0) is the thread budget of the std::thread pool, which runs every
+// parallel loop, so one binary sweeps the full parallel stack. Arguments
 // above hardware_concurrency oversubscribe on purpose (the numbers stay
-// honest; the speedup just saturates).
-
-void set_threads(int t) {  // t = 0 restores auto-detection
-  util::set_max_threads(t);
-#if defined(_OPENMP)
-  omp_set_num_threads(t > 0 ? t : util::hardware_threads());
-#endif
-}
+// honest; the speedup just saturates). set_max_threads(0) restores
+// auto-detection.
 
 void thread_args(benchmark::internal::Benchmark* b) {
   const int hw = util::hardware_threads();
@@ -116,18 +106,18 @@ void thread_args(benchmark::internal::Benchmark* b) {
 
 void BM_SpmvCsrThreads(benchmark::State& state) {
   const auto& a = toggle_matrix();
-  set_threads(static_cast<int>(state.range(0)));
+  util::set_max_threads(static_cast<int>(state.range(0)));
   run_spmv(state, a, a.nrows, a.ncols, a.nnz());
-  set_threads(0);
+  util::set_max_threads(0);
 }
 BENCHMARK(BM_SpmvCsrThreads)->Apply(thread_args)->UseRealTime();
 
 void BM_SpmvWarpedEllThreads(benchmark::State& state) {
   const auto& a = toggle_matrix();
   const auto w = sparse::warped_ell_from_csr(a);
-  set_threads(static_cast<int>(state.range(0)));
+  util::set_max_threads(static_cast<int>(state.range(0)));
   run_spmv(state, w, a.nrows, a.ncols, a.nnz());
-  set_threads(0);
+  util::set_max_threads(0);
 }
 BENCHMARK(BM_SpmvWarpedEllThreads)->Apply(thread_args)->UseRealTime();
 
@@ -140,7 +130,7 @@ void BM_JacobiIterationsThreads(benchmark::State& state) {
   solver::JacobiOptions opt;
   opt.max_iterations = 20;
   opt.check_every = 20;
-  set_threads(static_cast<int>(state.range(0)));
+  util::set_max_threads(static_cast<int>(state.range(0)));
   std::vector<real_t> x(static_cast<std::size_t>(a.nrows));
   for (auto _ : state) {
     solver::fill_uniform(x);
@@ -148,7 +138,7 @@ void BM_JacobiIterationsThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(res.residual);
   }
   state.counters["iters"] = static_cast<double>(opt.max_iterations);
-  set_threads(0);
+  util::set_max_threads(0);
 }
 BENCHMARK(BM_JacobiIterationsThreads)->Apply(thread_args)->UseRealTime();
 

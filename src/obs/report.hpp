@@ -21,7 +21,9 @@
 // events are iteration-indexed with no timestamps, so the section is
 // bit-identical across thread counts). The "metrics" section is
 // deterministic (bit-identical across thread counts); "volatile" holds
-// run-varying values like host wall-clock.
+// run-varying values like host wall-clock. "openmp" and "threads_enabled"
+// stay in the schema but read false and true in every build: all parallel
+// loops run on the util thread pool, which every build links.
 //
 // The same registry also serializes as a bench-ledger record
 // ("cmesolve.bench/1"): provenance + two FLAT name->number maps

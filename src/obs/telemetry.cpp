@@ -420,16 +420,10 @@ void write_provenance(JsonWriter& w,
   w.kv("version", CMESOLVE_VERSION);
   w.kv("git", CMESOLVE_GIT_DESCRIBE);
   w.kv("threads", static_cast<std::int64_t>(util::max_threads()));
-#ifdef _OPENMP
-  w.kv("openmp", true);
-#else
+  // Kept for schema /2, which requires both: every parallel loop runs on
+  // the util pool, which every build links.
   w.kv("openmp", false);
-#endif
-#ifdef CMESOLVE_THREADS_ENABLED
   w.kv("threads_enabled", true);
-#else
-  w.kv("threads_enabled", false);
-#endif
   w.kv("perf_available", perf_available());
   // The SIMD ISA the kernel dispatcher selected (detected or forced via
   // CMESOLVE_SIMD) — resolved at report time, after any test overrides.

@@ -1,11 +1,7 @@
 #include "serve/controller.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +12,7 @@
 #include "solver/vector_ops.hpp"
 #include "sparse/csr.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 #include "verify/repro_io.hpp"
 
 namespace cmesolve::serve {
@@ -33,30 +30,18 @@ std::future<SolveResponse> ready_response(SolveResponse r) {
   return p.get_future();
 }
 
-/// The environment value `name` as a T, when the whole string is one
-/// decimal integer that fits; nullopt when unset or anything else.
-template <typename T>
-std::optional<T> env_integer(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return std::nullopt;
-  const char* end = v + std::strlen(v);
-  T n{};
-  const auto [ptr, ec] = std::from_chars(v, end, n);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return n;
-}
-
 }  // namespace
 
 ServeOptions serve_options_from_env() {
   ServeOptions opt;
-  if (const auto n = env_integer<int>("CMESOLVE_SERVE_WORKERS"); n && *n > 0) {
+  using util::env_number;
+  if (const auto n = env_number<int>("CMESOLVE_SERVE_WORKERS"); n && *n > 0) {
     opt.workers = *n;
   }
-  if (const auto n = env_integer<std::size_t>("CMESOLVE_SERVE_QUEUE_CAP")) {
+  if (const auto n = env_number<std::size_t>("CMESOLVE_SERVE_QUEUE_CAP")) {
     opt.queue_capacity = *n;
   }
-  if (const auto n = env_integer<std::size_t>("CMESOLVE_SERVE_CACHE_CAP")) {
+  if (const auto n = env_number<std::size_t>("CMESOLVE_SERVE_CACHE_CAP")) {
     opt.cache_capacity = *n;
   }
   return opt;

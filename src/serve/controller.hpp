@@ -111,9 +111,9 @@ struct ServeOptions {
 };
 
 /// ServeOptions from CMESOLVE_SERVE_* environment variables: WORKERS,
-/// QUEUE_CAP, CACHE_CAP. Each must be a whole decimal integer (WORKERS
-/// positive, the capacities nonnegative); an unset or unparsable value
-/// keeps the default.
+/// QUEUE_CAP, CACHE_CAP. Each must be a whole decimal integer
+/// (util::parse_number; WORKERS positive, the capacities nonnegative); an
+/// unset or unparsable value keeps the default.
 [[nodiscard]] ServeOptions serve_options_from_env();
 
 /// Aggregate daemon statistics (monotonic counters).

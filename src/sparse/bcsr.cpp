@@ -82,37 +82,45 @@ void spmv(const Bcsr& m, std::span<const real_t> x, std::span<real_t> y) {
   assert(y.size() == static_cast<std::size_t>(m.nrows));
   const std::size_t slots =
       static_cast<std::size_t>(m.block_rows) * static_cast<std::size_t>(m.block_cols);
-  // Block-row parallel (one thread per block row of y) — thread-count
-  // independent; acc[] is stack-private to each iteration.
+  // Block-row chunks on the util pool (one task per block row of y) —
+  // thread-count independent; acc[] is stack-private to each block row. The
+  // grain keeps chunks near 4,096 rows, as for the row-wise formats.
   const index_t* brp = m.block_row_ptr.data();
   const index_t* bcol = m.block_col.data();
   const real_t* pval = m.val.data();
   const real_t* px = x.data();
   real_t* py = y.data();
-  const index_t nblock_rows = m.nblock_rows;
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t br = 0; br < nblock_rows; ++br) {
-    real_t acc[16] = {};  // supports block_rows up to 16
-    assert(m.block_rows <= 16);
-    for (index_t bp = brp[br]; bp < brp[br + 1]; ++bp) {
-      const index_t col0 = bcol[bp] * m.block_cols;
-      const real_t* data = pval + static_cast<std::size_t>(bp) * slots;
-      for (int lr = 0; lr < m.block_rows; ++lr) {
-        real_t sum = 0.0;
-        for (int lc = 0; lc < m.block_cols; ++lc) {
-          const index_t c = col0 + lc;
-          if (c < m.ncols) {
-            sum += data[static_cast<std::size_t>(lr) * m.block_cols + lc] * px[c];
+  const std::size_t grain =
+      std::max<std::size_t>(1, 4096 / static_cast<std::size_t>(m.block_rows));
+  util::parallel_for(
+      static_cast<std::size_t>(m.nblock_rows),
+      [&m, slots, brp, bcol, pval, px, py](std::size_t b, std::size_t e) {
+        for (index_t br = static_cast<index_t>(b);
+             br < static_cast<index_t>(e); ++br) {
+          real_t acc[16] = {};  // supports block_rows up to 16
+          assert(m.block_rows <= 16);
+          for (index_t bp = brp[br]; bp < brp[br + 1]; ++bp) {
+            const index_t col0 = bcol[bp] * m.block_cols;
+            const real_t* data = pval + static_cast<std::size_t>(bp) * slots;
+            for (int lr = 0; lr < m.block_rows; ++lr) {
+              real_t sum = 0.0;
+              for (int lc = 0; lc < m.block_cols; ++lc) {
+                const index_t c = col0 + lc;
+                if (c < m.ncols) {
+                  sum += data[static_cast<std::size_t>(lr) * m.block_cols + lc] *
+                         px[c];
+                }
+              }
+              acc[lr] += sum;
+            }
+          }
+          for (int lr = 0; lr < m.block_rows; ++lr) {
+            const index_t r = br * m.block_rows + lr;
+            if (r < m.nrows) py[r] = acc[lr];
           }
         }
-        acc[lr] += sum;
-      }
-    }
-    for (int lr = 0; lr < m.block_rows; ++lr) {
-      const index_t r = br * m.block_rows + lr;
-      if (r < m.nrows) py[r] = acc[lr];
-    }
-  }
+      },
+      grain);
 }
 
 }  // namespace cmesolve::sparse

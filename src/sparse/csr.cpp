@@ -155,24 +155,25 @@ DiagonalSplit split_diagonal(const Csr& m) {
 void spmv(const Csr& m, std::span<const real_t> x, std::span<real_t> y) {
   assert(x.size() == static_cast<std::size_t>(m.ncols));
   assert(y.size() == static_cast<std::size_t>(m.nrows));
-  // Row-parallel: each y[r] is produced by exactly one thread, so the result
-  // is independent of the thread count. index_t is signed (OpenMP 2.x loop
-  // var requirement) and the array bases are hoisted so the inner loop
-  // vectorizes in the CMESOLVE_OPENMP=OFF build too.
+  // Row chunks on the util pool: each y[r] is produced by exactly one task,
+  // summed in row order, so the result is independent of the thread count.
+  // The array bases are hoisted so the inner loop vectorizes.
   const index_t* rp = m.row_ptr.data();
   const index_t* ci = m.col_idx.data();
   const real_t* va = m.val.data();
   const real_t* px = x.data();
   real_t* py = y.data();
-  const index_t nrows = m.nrows;
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t r = 0; r < nrows; ++r) {
-    real_t sum = 0.0;
-    for (index_t p = rp[r]; p < rp[r + 1]; ++p) {
-      sum += va[p] * px[ci[p]];
+  util::parallel_for(static_cast<std::size_t>(m.nrows),
+                     [rp, ci, va, px, py](std::size_t b, std::size_t e) {
+    for (index_t r = static_cast<index_t>(b); r < static_cast<index_t>(e);
+         ++r) {
+      real_t sum = 0.0;
+      for (index_t p = rp[r]; p < rp[r + 1]; ++p) {
+        sum += va[p] * px[ci[p]];
+      }
+      py[r] = sum;
     }
-    py[r] = sum;
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

@@ -55,7 +55,7 @@ struct DiagonalSplit {
 };
 [[nodiscard]] DiagonalSplit split_diagonal(const Csr& m);
 
-/// Reference SpMV: y = m * x. Parallelized with OpenMP when enabled.
+/// Reference SpMV: y = m * x, row chunks on the util thread pool.
 void spmv(const Csr& m, std::span<const real_t> x, std::span<real_t> y);
 
 }  // namespace cmesolve::sparse

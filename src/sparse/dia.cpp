@@ -97,20 +97,24 @@ void spmv(const Dia& m, std::span<const real_t> x, std::span<real_t> y) {
 void spmv_add(const Dia& m, std::span<const real_t> x, std::span<real_t> y) {
   assert(x.size() == static_cast<std::size_t>(m.ncols));
   assert(y.size() == static_cast<std::size_t>(m.nrows));
-  // Per-diagonal row loop: one thread per y[r] within a diagonal, diagonals
-  // processed in order — thread-count independent.
+  // Row chunks on the util pool with the diagonals inside: one task per
+  // y[r], which adds its diagonals in order — thread-count independent.
   const real_t* px = x.data();
   real_t* py = y.data();
-  for (std::size_t di = 0; di < m.offsets.size(); ++di) {
-    const index_t off = m.offsets[di];
-    const real_t* band = m.data.data() + di * static_cast<std::size_t>(m.nrows);
-    const index_t lo = std::max<index_t>(0, -off);
-    const index_t hi = std::min<index_t>(m.nrows, m.ncols - off);
-    CMESOLVE_OMP_PARALLEL_FOR
-    for (index_t r = lo; r < hi; ++r) {
-      py[r] += band[r] * px[r + off];
+  util::parallel_for(static_cast<std::size_t>(m.nrows),
+                     [&m, px, py](std::size_t b, std::size_t e) {
+    for (std::size_t di = 0; di < m.offsets.size(); ++di) {
+      const index_t off = m.offsets[di];
+      const real_t* band =
+          m.data.data() + di * static_cast<std::size_t>(m.nrows);
+      const index_t lo = std::max({index_t{0}, -off, static_cast<index_t>(b)});
+      const index_t hi = std::min(
+          {m.nrows, m.ncols - off, static_cast<index_t>(e)});
+      for (index_t r = lo; r < hi; ++r) {
+        py[r] += band[r] * px[r + off];
+      }
     }
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

@@ -35,27 +35,28 @@ Ell ell_from_csr(const Csr& m, index_t warp) {
 void spmv(const Ell& m, std::span<const real_t> x, std::span<real_t> y) {
   assert(x.size() == static_cast<std::size_t>(m.ncols));
   assert(y.size() == static_cast<std::size_t>(m.nrows));
-  // Row-parallel and thread-count independent (one thread per y[r]).
+  // Row chunks on the util pool, thread-count independent (one task per
+  // y[r]).
   const real_t* va = m.val.data();
   const index_t* co = m.col.data();
   const real_t* px = x.data();
   real_t* py = y.data();
-  const index_t nrows = m.nrows;
   const index_t k = m.k;
   const std::size_t stride = static_cast<std::size_t>(m.padded_rows);
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t r = 0; r < nrows; ++r) {
-    real_t sum = 0.0;
-    for (index_t j = 0; j < k; ++j) {
-      const std::size_t slot = static_cast<std::size_t>(j) * stride +
-                               static_cast<std::size_t>(r);
-      const index_t c = co[slot];
-      if (c > kPadColumn) {  // padding-skip conditional (Listing 1)
-        sum += va[slot] * px[c];
+  util::parallel_for(static_cast<std::size_t>(m.nrows),
+                     [va, co, px, py, k, stride](std::size_t b, std::size_t e) {
+    for (std::size_t r = b; r < e; ++r) {
+      real_t sum = 0.0;
+      for (index_t j = 0; j < k; ++j) {
+        const std::size_t slot = static_cast<std::size_t>(j) * stride + r;
+        const index_t c = co[slot];
+        if (c > kPadColumn) {  // padding-skip conditional (Listing 1)
+          sum += va[slot] * px[c];
+        }
       }
+      py[r] = sum;
     }
-    py[r] = sum;
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

@@ -44,7 +44,7 @@ struct Ell {
 /// Build ELL from CSR. `warp` controls the row padding granularity.
 [[nodiscard]] Ell ell_from_csr(const Csr& m, index_t warp = 32);
 
-/// y = m * x (CPU reference, OpenMP across rows).
+/// y = m * x (CPU reference, row chunks on the util thread pool).
 void spmv(const Ell& m, std::span<const real_t> x, std::span<real_t> y);
 
 }  // namespace cmesolve::sparse

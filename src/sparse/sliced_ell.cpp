@@ -146,34 +146,41 @@ SlicedEll sliced_ell_from_csr(const Csr& m, index_t slice_size,
 void spmv(const SlicedEll& m, std::span<const real_t> x, std::span<real_t> y) {
   assert(x.size() == static_cast<std::size_t>(m.ncols));
   assert(y.size() == static_cast<std::size_t>(m.nrows));
-  const index_t num_slices = m.num_slices();
-  // Slice-parallel: perm is a bijection, so the scattered y writes of
-  // different slices never alias — thread-count independent.
+  // Slice chunks on the util pool: perm is a bijection, so the scattered y
+  // writes of different slices never alias — thread-count independent. The
+  // grain keeps chunks near 4,096 rows, as for the row-wise formats.
   const real_t* va = m.val.data();
   const index_t* co = m.col.data();
   const index_t* perm = m.perm.data();
   const real_t* px = x.data();
   real_t* py = y.data();
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t sl = 0; sl < num_slices; ++sl) {
-    const std::size_t base = m.slice_ptr[sl];
-    const index_t k = m.slice_k[sl];
-    for (index_t lane = 0; lane < m.slice_size; ++lane) {
-      const index_t stored = sl * m.slice_size + lane;
-      if (stored >= m.nrows) break;
-      real_t sum = 0.0;
-      for (index_t j = 0; j < k; ++j) {
-        const std::size_t slot = base +
-                                 static_cast<std::size_t>(j) * m.slice_size +
-                                 static_cast<std::size_t>(lane);
-        const index_t c = co[slot];
-        if (c > kPadColumn) {
-          sum += va[slot] * px[c];
+  const std::size_t grain = std::max<std::size_t>(
+      1, 4096 / static_cast<std::size_t>(std::max<index_t>(m.slice_size, 1)));
+  util::parallel_for(
+      static_cast<std::size_t>(m.num_slices()),
+      [&m, va, co, perm, px, py](std::size_t b, std::size_t e) {
+        for (index_t sl = static_cast<index_t>(b);
+             sl < static_cast<index_t>(e); ++sl) {
+          const std::size_t base = m.slice_ptr[sl];
+          const index_t k = m.slice_k[sl];
+          for (index_t lane = 0; lane < m.slice_size; ++lane) {
+            const index_t stored = sl * m.slice_size + lane;
+            if (stored >= m.nrows) break;
+            real_t sum = 0.0;
+            for (index_t j = 0; j < k; ++j) {
+              const std::size_t slot =
+                  base + static_cast<std::size_t>(j) * m.slice_size +
+                  static_cast<std::size_t>(lane);
+              const index_t c = co[slot];
+              if (c > kPadColumn) {
+                sum += va[slot] * px[c];
+              }
+            }
+            py[perm[stored]] = sum;
+          }
         }
-      }
-      py[perm[stored]] = sum;
-    }
-  }
+      },
+      grain);
 }
 
 }  // namespace cmesolve::sparse

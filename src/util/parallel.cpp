@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-
-#if defined(CMESOLVE_THREADS_ENABLED)
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
-#endif
+
+#include "util/parse.hpp"
 
 namespace cmesolve::util {
 
@@ -17,16 +16,12 @@ namespace {
 
 std::atomic<int> g_override{0};
 
-#if defined(CMESOLVE_THREADS_ENABLED)
 thread_local bool t_in_task = false;
 
 int env_threads() {
   static const int cached = [] {
-    if (const char* env = std::getenv("CMESOLVE_THREADS")) {
-      const int v = std::atoi(env);
-      if (v > 0) return std::min(v, kMaxThreadCap);
-    }
-    return 0;
+    const auto v = env_number<int>("CMESOLVE_THREADS");
+    return v && *v > 0 ? std::min(*v, kMaxThreadCap) : 0;
   }();
   return cached;
 }
@@ -144,25 +139,18 @@ class Pool {
   std::exception_ptr error_;
   std::atomic<int> next_{0};
 };
-#endif  // CMESOLVE_THREADS_ENABLED
 
 }  // namespace
 
 int hardware_threads() noexcept {
-#if defined(CMESOLVE_THREADS_ENABLED)
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-#else
-  return 1;
-#endif
 }
 
 int max_threads() noexcept {
   const int o = g_override.load(std::memory_order_relaxed);
   if (o > 0) return o;
-#if defined(CMESOLVE_THREADS_ENABLED)
   if (const int e = env_threads(); e > 0) return e;
-#endif
   return hardware_threads();
 }
 
@@ -170,32 +158,14 @@ void set_max_threads(int n) noexcept {
   g_override.store(std::clamp(n, 0, kMaxThreadCap), std::memory_order_relaxed);
 }
 
-bool in_parallel_region() noexcept {
-#if defined(CMESOLVE_THREADS_ENABLED)
-  return t_in_task;
-#else
-  return false;
-#endif
-}
+bool in_parallel_region() noexcept { return t_in_task; }
 
-InlineRegion::InlineRegion() noexcept {
-#if defined(CMESOLVE_THREADS_ENABLED)
-  prev_ = t_in_task;
-  t_in_task = true;
-#else
-  prev_ = false;
-#endif
-}
+InlineRegion::InlineRegion() noexcept : prev_(t_in_task) { t_in_task = true; }
 
-InlineRegion::~InlineRegion() {
-#if defined(CMESOLVE_THREADS_ENABLED)
-  t_in_task = prev_;
-#endif
-}
+InlineRegion::~InlineRegion() { t_in_task = prev_; }
 
 void parallel_tasks(int ntasks, const std::function<void(int)>& task) {
   if (ntasks <= 0) return;
-#if defined(CMESOLVE_THREADS_ENABLED)
   const int t = max_threads();
   if (ntasks == 1 || t <= 1 || t_in_task) {
     const bool prev = t_in_task;
@@ -210,9 +180,6 @@ void parallel_tasks(int ntasks, const std::function<void(int)>& task) {
     return;
   }
   Pool::instance().run(ntasks, t, task);
-#else
-  for (int i = 0; i < ntasks; ++i) task(i);
-#endif
 }
 
 }  // namespace cmesolve::util

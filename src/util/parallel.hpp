@@ -2,36 +2,26 @@
 //
 // Deterministic host-side parallelism primitives.
 //
-// Everything is built on one persistent std::thread pool (no OpenMP runtime
-// dependency, so ThreadSanitizer builds stay clean). The contract of every
-// primitive is *schedule independence*: results are bit-identical for any
-// thread count, because work is split into FIXED chunks whose partial
-// results are combined in chunk order on the calling thread. Parallelism
-// only changes which thread computes a chunk, never what the chunk is.
-//
-// The build defines CMESOLVE_THREADS_ENABLED when threading is on
-// (CMESOLVE_OPENMP=ON, or CMESOLVE_TSAN=ON which drops the OpenMP pragmas
-// but keeps the pool). Without it every primitive degrades to the same
-// chunk loop executed inline — same chunking, same results, zero threads.
+// Every parallel loop in the library — the sparse SpMV kernels, stencil
+// sweeps, reductions, assembly — runs on one persistent std::thread pool.
+// The contract of every primitive is *schedule independence*: results are
+// bit-identical for any thread count, because work is split into FIXED
+// chunks whose partial results are combined in chunk order on the calling
+// thread. Parallelism only changes which thread computes a chunk, never
+// what the chunk is. At a budget of 1, inside a pool task or inside an
+// InlineRegion every primitive runs the same chunk loop inline.
 //
 // Thread-count resolution (strongest first):
 //   1. set_max_threads(n)            — programmatic override (tests, benches)
-//   2. CMESOLVE_THREADS environment  — user override
+//   2. CMESOLVE_THREADS environment  — user override; a value that is not a
+//                                      positive whole integer (see
+//                                      util/parse.hpp) means auto-detect
 //   3. std::thread::hardware_concurrency()
 //
 #include <cstddef>
 #include <functional>
 #include <utility>
 #include <vector>
-
-// Portability shim for the OpenMP SpMV loops in src/sparse/: expands to the
-// pragma only when compiled with -fopenmp, so CMESOLVE_OPENMP=OFF builds are
-// silent under -Wunknown-pragmas and the plain loop stays vectorizable.
-#if defined(_OPENMP)
-#define CMESOLVE_OMP_PARALLEL_FOR _Pragma("omp parallel for schedule(static)")
-#else
-#define CMESOLVE_OMP_PARALLEL_FOR
-#endif
 
 namespace cmesolve::util {
 
@@ -42,9 +32,7 @@ inline constexpr int kMaxThreadCap = 256;
 /// Physical parallelism of this host (>= 1).
 [[nodiscard]] int hardware_threads() noexcept;
 
-/// Resolved thread budget (>= 1). In serial builds the budget still follows
-/// the override — callers may use it to select code paths — but
-/// parallel_tasks() executes inline regardless.
+/// Resolved thread budget (>= 1).
 [[nodiscard]] int max_threads() noexcept;
 
 /// Override the thread budget (0 restores automatic resolution). Clamped to
@@ -64,8 +52,7 @@ void set_max_threads(int n) noexcept;
 /// without violating parallel_tasks' one-driver rule), and every reduction
 /// uses the serial chunk order, which the determinism contract guarantees is
 /// bit-identical to the pooled result. Nests safely with itself and with
-/// pool tasks; restores the previous state on destruction. No-op in serial
-/// builds, which are always inline anyway.
+/// pool tasks; restores the previous state on destruction.
 class InlineRegion {
  public:
   InlineRegion() noexcept;
@@ -129,7 +116,7 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 4096) {
 /// end) reduces each chunk serially, and the partials are combined in
 /// ascending chunk order on the calling thread:
 ///   result = combine(...combine(combine(init, p0), p1)..., pLast)
-/// The serial fallback uses the identical association.
+/// The inline path uses the identical association.
 template <class T, class ChunkFn, class Combine>
 [[nodiscard]] T parallel_reduce(std::size_t n, std::size_t chunk, T init,
                                 ChunkFn&& chunk_fn, Combine&& combine) {

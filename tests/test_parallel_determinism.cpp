@@ -1,18 +1,21 @@
 // Bit-identity contract of the parallel execution engines.
 //
 // Every parallel path in the library — the sharded GPU simulation behind
-// for_each_warp, the fixed-chunk solver reductions, the parallel rate-matrix
-// assembly and the partition-parallel multi-GPU sweep — promises the SAME
-// NUMBERS as the serial engine, for any host thread count. This suite pins
-// that promise: each scenario runs at 1 thread (the original serial engine),
-// then at 2 and 8 threads (the pool engines, oversubscribed on small hosts),
-// and every counter, modeled time and solution entry must compare EXACTLY
-// (EXPECT_EQ, no tolerances).
+// for_each_warp, the host SpMV loops, the fixed-chunk solver reductions, the
+// parallel rate-matrix assembly and the partition-parallel multi-GPU sweep —
+// promises the SAME NUMBERS as the serial engine, for any host thread count.
+// This suite pins that promise: each scenario runs at 1 thread (the original
+// serial engine), then at 2 and 8 threads (the pool engines, oversubscribed
+// on small hosts), and every counter, modeled time and solution entry must
+// compare EXACTLY (EXPECT_EQ, no tolerances).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/models.hpp"
@@ -240,6 +243,51 @@ TEST(ParallelDeterminism, DiaKernel) {
         return r;
       },
       "dia");
+}
+
+TEST(ParallelDeterminism, HostSpmvKernels) {
+  // The host SpMV loops of every assembled format run on the util pool with
+  // one owner per output row (slice, block row) and a fixed summation order
+  // per row, so y carries the 1-thread bits at any budget. The hybrids are
+  // built from these loops; spmv_add accumulates onto a nonzero y.
+  const Csr m = cme_like_matrix(kRows, 4, 25);
+  const auto x = probe_vector(kRows);
+  const std::vector<index_t> band = {-1, 0, 1};
+  const auto ell = sparse::ell_from_csr(m);
+  const auto warped = sparse::warped_ell_from_csr(m);
+  const auto bcsr = sparse::bcsr_from_csr(m);
+  const auto dia = sparse::dia_from_csr(m, band);
+  const auto csr_dia = sparse::csr_dia_from_csr(m, band);
+  const auto ell_dia = sparse::ell_dia_from_csr(m, band);
+  const auto warped_dia = sparse::sliced_ell_dia_from_csr(m, band);
+  using Kernel = std::function<void(std::span<real_t>)>;
+  const std::vector<std::pair<std::string, Kernel>> kernels = {
+      {"csr", [&](std::span<real_t> y) { sparse::spmv(m, x, y); }},
+      {"ell", [&](std::span<real_t> y) { sparse::spmv(ell, x, y); }},
+      {"warped-ell", [&](std::span<real_t> y) { sparse::spmv(warped, x, y); }},
+      {"bcsr", [&](std::span<real_t> y) { sparse::spmv(bcsr, x, y); }},
+      {"dia", [&](std::span<real_t> y) { sparse::spmv(dia, x, y); }},
+      {"dia-add", [&](std::span<real_t> y) { sparse::spmv_add(dia, x, y); }},
+      {"csr+dia", [&](std::span<real_t> y) { sparse::spmv(csr_dia, x, y); }},
+      {"ell+dia", [&](std::span<real_t> y) { sparse::spmv(ell_dia, x, y); }},
+      {"warped-ell+dia",
+       [&](std::span<real_t> y) { sparse::spmv(warped_dia, x, y); }},
+  };
+  for (const auto& [label, spmv] : kernels) {
+    std::vector<real_t> base;
+    for (int t : kThreadCounts) {
+      ThreadBudget threads(t);
+      std::vector<real_t> y = probe_vector(kRows);
+      spmv(y);
+      if (t == 1) {
+        base = std::move(y);
+        continue;
+      }
+      EXPECT_EQ(std::memcmp(y.data(), base.data(), y.size() * sizeof(real_t)),
+                0)
+          << label << " @" << t;
+    }
+  }
 }
 
 TEST(ParallelDeterminism, JacobiSweepKernel) {

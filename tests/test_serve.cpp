@@ -4,7 +4,9 @@
 // bugfix sweep (transient truncation accounting, hardened JSON reader,
 // warm_restart fallback).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -218,6 +220,43 @@ TEST(Serve, ResponsesAreBitIdenticalAcrossThreadBudgetsAndWorkerCounts) {
     }
   }
   util::set_max_threads(0);
+}
+
+/// User plus system CPU seconds of the whole process so far.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+TEST(Serve, WorkerSolveUsesOnlyItsOwnThread) {
+  // A worker's solve runs inside util::InlineRegion, and every parallel loop
+  // of the library obeys it, so a one-worker daemon keeps at most one core
+  // busy even with a budget of 4 threads. A serial solve cannot use more CPU
+  // than wall time; the slack covers timer granularity. The cold solve
+  // (assembly plus 2,300 CSR Jacobi sweeps) takes about 0.25 s on one core
+  // of a 4-vCPU host; the same solve with 4-thread SpMV loops used 2.4x its
+  // wall time in CPU there.
+  util::set_max_threads(4);
+  ServeOptions opt;
+  opt.workers = 1;
+  Controller ctl(opt);
+  const auto t0 = std::chrono::steady_clock::now();
+  const double cpu0 = process_cpu_seconds();
+  const SolveResponse r = ctl.submit(small_phage()).get();
+  const double cpu = process_cpu_seconds() - cpu0;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  util::set_max_threads(0);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_LE(cpu, 1.25 * wall + 0.05) << "cpu " << cpu << " s, wall " << wall
+                                     << " s";
 }
 
 TEST(Serve, AbsorbingScenarioFailsWithTheSolverDiagnostic) {

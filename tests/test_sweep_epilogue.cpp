@@ -7,10 +7,6 @@
 // ISA, flight-recorder signatures and residual histories included.
 #include <gtest/gtest.h>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -37,18 +33,6 @@ namespace cmesolve::solver {
 namespace {
 
 namespace simd = util::simd;
-
-#if defined(_OPENMP)
-// The thread-count axis under test is the pool's: fused sweeps and epilogue
-// passes run on it. The assembled formats' OpenMP SpMV loops stay serial
-// here — row-parallel, they cannot change a bit — because their
-// spin-waiting threads slow this suite a hundredfold when ctest runs
-// several OpenMP processes side by side.
-[[maybe_unused]] const bool kSerialOpenMp = [] {
-  omp_set_num_threads(1);
-  return true;
-}();
-#endif
 
 class ThreadBudget {
  public:

@@ -1,11 +1,14 @@
 // Unit tests for src/util: binomial coefficients, RNG, streaming stats,
-// table rendering.
+// table rendering, strict number parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 
 #include "util/binomial.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -210,6 +213,58 @@ TEST(TextTable, CountFormatting) {
   EXPECT_EQ(TextTable::count(1000), "1,000");
   EXPECT_EQ(TextTable::count(1234567), "1,234,567");
   EXPECT_EQ(TextTable::count(-1234), "-1,234");
+}
+
+// --- strict number parsing -------------------------------------------------
+
+TEST(ParseNumber, WholeIntegersParse) {
+  EXPECT_EQ(util::parse_number<int>("42"), 42);
+  EXPECT_EQ(util::parse_number<int>("0"), 0);
+  EXPECT_EQ(util::parse_number<int>("-3"), -3);
+  EXPECT_EQ(util::parse_number<std::size_t>("18446744073709551615"),
+            std::size_t{18446744073709551615u});
+  EXPECT_EQ(util::parse_number<std::uint64_t>("7"), std::uint64_t{7});
+}
+
+TEST(ParseNumber, IntegersRejectAnythingButOneWholeNumber) {
+  for (const char* bad : {"", "abc", "4x", "12abc", " 7", "7 ", "+7", "1e3",
+                          "1.5", "0x10", "--1", "99999999999999999999999"}) {
+    EXPECT_FALSE(util::parse_number<int>(bad)) << '"' << bad << '"';
+    EXPECT_FALSE(util::parse_number<std::size_t>(bad)) << '"' << bad << '"';
+  }
+  // A negative count does not wrap around to a huge unsigned value.
+  EXPECT_FALSE(util::parse_number<std::size_t>("-1"));
+  EXPECT_FALSE(util::parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(util::parse_number<int>("2147483648"));
+}
+
+TEST(ParseNumber, WholeDoublesParse) {
+  EXPECT_EQ(util::parse_number<double>("0.5"), 0.5);
+  EXPECT_EQ(util::parse_number<double>("1.1"), 1.1);
+  EXPECT_EQ(util::parse_number<double>("3"), 3.0);
+  EXPECT_EQ(util::parse_number<double>("-0.25"), -0.25);
+  EXPECT_EQ(util::parse_number<double>("1e-3"), 1e-3);
+  EXPECT_EQ(util::parse_number<double>(".5"), 0.5);
+}
+
+TEST(ParseNumber, DoublesRejectAnythingButOneFiniteNumber) {
+  for (const char* bad : {"", "abc", "0.5x", "1.5.2", " 1", "1 ", "+1", "1e",
+                          "0x1p3", "nan", "inf", "-inf", "1e999"}) {
+    EXPECT_FALSE(util::parse_number<double>(bad)) << '"' << bad << '"';
+  }
+}
+
+TEST(ParseNumber, EnvironmentValueParsesWholeOrNotAtAll) {
+  const char* name = "CMESOLVE_TEST_PARSE_NUMBER";
+  ::unsetenv(name);
+  EXPECT_FALSE(util::env_number<int>(name));
+  ::setenv(name, "4", 1);
+  EXPECT_EQ(util::env_number<int>(name), 4);
+  ::setenv(name, "4x", 1);
+  EXPECT_FALSE(util::env_number<int>(name));
+  ::setenv(name, "0.75", 1);
+  EXPECT_EQ(util::env_number<double>(name), 0.75);
+  ::unsetenv(name);
 }
 
 }  // namespace

@@ -21,16 +21,21 @@
 // --min-hit-rate turns the run into a gate: exit 1 when the cache hit rate
 // falls below R (CI's serve smoke and ledger steps).
 //
+// Every numeric flag must be one whole number (util::parse_number);
+// anything else is a usage error.
+//
 // Exit codes: 0 ok, 1 gate violation, 2 usage error.
 //
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "obs/report.hpp"
 #include "serve/controller.hpp"
 #include "serve/workload.hpp"
+#include "util/parse.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
 
@@ -65,30 +70,41 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // The value of a numeric flag; a usage error unless it parses whole.
+    const auto num = [&]<typename T>(T& out) {
+      const char* text = next();
+      const std::optional<T> v = util::parse_number<T>(text);
+      if (!v) {
+        std::fprintf(stderr, "%s: %s needs a number, got '%s'\n", argv[0], a,
+                     text);
+        usage(argv[0]);
+      }
+      out = *v;
+    };
     if (std::strcmp(a, "--requests") == 0) {
-      lopt.requests = static_cast<std::size_t>(std::atol(next()));
+      num(lopt.requests);
     } else if (std::strcmp(a, "--clients") == 0) {
-      lopt.clients = std::atoi(next());
+      num(lopt.clients);
     } else if (std::strcmp(a, "--workers") == 0) {
-      sopt.workers = std::atoi(next());
+      num(sopt.workers);
     } else if (std::strcmp(a, "--variants") == 0) {
-      nvariants = static_cast<std::size_t>(std::atol(next()));
+      num(nvariants);
     } else if (std::strcmp(a, "--zipf") == 0) {
-      lopt.zipf_s = std::atof(next());
+      num(lopt.zipf_s);
     } else if (std::strcmp(a, "--think") == 0) {
-      lopt.think_seconds = std::atof(next());
+      num(lopt.think_seconds);
     } else if (std::strcmp(a, "--jitter") == 0) {
-      jitter = std::atof(next());
+      num(jitter);
     } else if (std::strcmp(a, "--seed") == 0) {
-      lopt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      num(lopt.seed);
     } else if (std::strcmp(a, "--queue-cap") == 0) {
-      sopt.queue_capacity = static_cast<std::size_t>(std::atol(next()));
+      num(sopt.queue_capacity);
     } else if (std::strcmp(a, "--cache-cap") == 0) {
-      sopt.cache_capacity = static_cast<std::size_t>(std::atol(next()));
+      num(sopt.cache_capacity);
     } else if (std::strcmp(a, "--deterministic") == 0) {
       deterministic = true;
     } else if (std::strcmp(a, "--min-hit-rate") == 0) {
-      min_hit_rate = std::atof(next());
+      num(min_hit_rate);
     } else {
       usage(argv[0]);
     }
