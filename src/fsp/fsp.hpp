@@ -140,20 +140,13 @@ struct FspResult {
 //
 // Propagate P(t) = exp(A_J t) P(0) on the truncated generator with
 // out-of-set flux DROPPED (core::ProjectedRateMatrix::assemble_absorbing):
-// the truncated generator is sub-stochastic, the mass it loses collects in
-// an implicit sink, and the FSP transient theorem guarantees that the sink
-// mass at the final time, 1 - ||P(t_final)||_1, bounds the pointwise
-// truncation error of every marginal at every earlier time. When the bound
-// exceeds tol the member set is expanded and the propagation restarts from
-// t = 0 on the larger projection.
-//
-// A round is lost as soon as its sink mass passes tol at any checkpoint:
-// the sink mass never falls as t grows. When another round is certain to
-// follow (round budget, state cap and a leaking boundary all allow growth)
-// a lost round stops at that checkpoint instead of propagating to
-// t_final. The next member set depends only on the projection, so the
-// answer is the one full propagation of every round would give; see
-// DESIGN.md §17 for the argument and its one rounding-level exception.
+// the mass it loses collects in an implicit sink. The loop walks the grid
+// once, segment by segment from the last accepted checkpoint. A segment is
+// accepted when its sink mass is at most tol * t / t_final, or when the set
+// cannot grow; otherwise the member set grows and only that segment is
+// repeated. Every accepted vector is a componentwise lower bound of the
+// full P(t) whatever the set history, so its sink mass is its L1 error, and
+// the sink mass at t_final bounds every marginal (DESIGN.md §17).
 
 /// Propagation engine of the transient FSP loop.
 enum class TransientEngine { kUniformization, kKrylov };
@@ -170,41 +163,47 @@ struct TransientFspOptions {
   real_t min_growth = 0.5;
   TransientEngine engine = TransientEngine::kUniformization;
   /// Engine configurations. `renormalize` is forced off internally — the
-  /// lost mass IS the error bound.
+  /// lost mass IS the error bound. Each engine call propagates one segment
+  /// attempt, so `uniformization.max_terms` and `krylov.max_matvecs` budget
+  /// one attempt, not the whole solve.
   solver::TransientOptions uniformization;
   solver::KrylovExpmOptions krylov;
 };
 
+/// One member set of the loop, in execution order.
 struct TransientFspRound {
   int round = 0;        ///< 1-based
-  index_t states = 0;   ///< members propagated this round
-  /// 1 - ||P(t)||_1 on this round's set at its last checkpoint. For a lost
-  /// round that stopped early it is already above tol, and a lower bound on
-  /// the value at t_final. Infinity for a truncated round.
+  index_t states = 0;   ///< members of this set
+  /// 1 - ||P(t)||_1 at the last grid point propagated on this set: an
+  /// accepted checkpoint, or the failed attempt that grew the set.
+  /// Infinity for a truncated attempt.
   real_t sink_mass = 0.0;
+  /// Every matvec spent on this set, a failed attempt included.
   std::uint64_t matvecs = 0;
-  /// Grid points the round reached: the whole grid, fewer for a lost round
-  /// that stopped early or a truncated one.
+  /// Grid points accepted on this set. Over all rounds they sum to the grid
+  /// size unless the solve was truncated.
   std::size_t checkpoints = 0;
 };
 
 struct TransientFspResult {
   core::DynamicStateSpace space;  ///< final member set
   /// Per requested grid point: the raw sub-stochastic marginal over the
-  /// members (NOT renormalized; ||marginals[i]||_1 = 1 - sink_mass[i]).
-  /// When `truncated_early` is set, grid points the engine never reached
-  /// hold an empty marginal and infinite sink_mass.
+  /// final member set (NOT renormalized). Members added after grid point i
+  /// hold zero there. When `truncated_early` is set, grid points the engine
+  /// never reached hold an empty marginal and infinite sink_mass.
   std::vector<std::vector<real_t>> marginals;
-  std::vector<real_t> sink_mass;  ///< per grid point
+  /// Per grid point: 1 - ||marginals[i]||_1, nondecreasing along the grid
+  /// (a value an engine's rounding would lower keeps the previous one).
+  std::vector<real_t> sink_mass;
   /// Sink mass at the final grid point == the uniform-in-time FSP error
-  /// bound for every marginal in `marginals`. Infinity when the final
-  /// round's propagation was truncated: a bound derived from an unreached
+  /// bound for every marginal in `marginals`. Infinity when an engine
+  /// budget cut the propagation: a bound derived from an unreached
   /// checkpoint would falsify the FSP guarantee.
   real_t error_bound = std::numeric_limits<real_t>::infinity();
   bool converged = false;  ///< error_bound <= tol
-  /// The last round's engine stopped before covering the full grid
-  /// (uniformization max_terms, Krylov matvec budget, or an unmeetable
-  /// Krylov step tolerance). No error bound is available.
+  /// An engine call stopped before its segment's end (uniformization
+  /// max_terms, Krylov matvec budget, or an unmeetable Krylov step
+  /// tolerance) and ended the solve. No error bound is available.
   bool truncated_early = false;
   std::vector<TransientFspRound> rounds;
   std::uint64_t total_matvecs = 0;

@@ -1,6 +1,6 @@
 //
-// Uniformization engine: two-sided Poisson truncation, interval splitting,
-// checkpoint grids. See transient.hpp for the contract.
+// Uniformization engine: two-sided Poisson truncation, interval splitting.
+// See transient.hpp for the contract.
 //
 #include "solver/transient.hpp"
 
@@ -157,49 +157,6 @@ bool uniformize_step(const TransientOperator& op, real_t dt, real_t eps_step,
   return budget_ok;
 }
 
-/// Advance p over one horizon, splitting into sub-steps when the Poisson
-/// mean exceeds opt.max_step_mean. `out` accumulates across segments.
-void advance(const TransientOperator& op, real_t t, std::span<real_t> p,
-             Workspace& ws, const TransientOptions& opt,
-             TransientResult& out) {
-  if (t == 0.0) return;
-  const real_t mean = out.lambda * t;
-  if (mean == 0.0) return;  // A == 0: exp(At) is the identity
-  const auto splits = static_cast<std::uint64_t>(
-      std::max<real_t>(1.0, std::ceil(mean / opt.max_step_mean)));
-  const real_t dt = t / static_cast<real_t>(splits);
-  const real_t eps_step = opt.eps / static_cast<real_t>(splits);
-  for (std::uint64_t s = 0; s < splits; ++s) {
-    if (!uniformize_step(op, dt, eps_step, p, ws, opt, out)) return;
-  }
-}
-
-TransientResult begin(const TransientOperator& op, std::span<real_t> p,
-                      const TransientOptions& opt) {
-  validate(opt);
-  if (p.size() != static_cast<std::size_t>(op.n)) {
-    throw std::invalid_argument("transient_solve: p size mismatch");
-  }
-  const std::span<const real_t> d = op.diag;
-  real_t max_diag = 0.0;
-  for (index_t i = 0; i < op.n; ++i) {
-    max_diag = std::max(max_diag, std::abs(d[static_cast<std::size_t>(i)]));
-  }
-  TransientResult out;
-  out.lambda = opt.lambda_margin * max_diag;
-  out.covered_mass = 1.0;
-  return out;
-}
-
-void finish(const TransientResult& out) {
-  obs::flight("transient.stop", obs::FlightKind::kStop, out.steps,
-              out.truncated_early ? 0.0 : 1.0);
-  obs::count("transient.solves");
-  obs::gauge("transient.matvecs", static_cast<real_t>(out.matvecs));
-  obs::gauge("transient.steps", static_cast<real_t>(out.steps));
-  obs::observe("transient.covered_mass", out.covered_mass);
-}
-
 }  // namespace
 
 TransientResult transient_solve(const TransientOperator& op, real_t t,
@@ -209,40 +166,35 @@ TransientResult transient_solve(const TransientOperator& op, real_t t,
   if (t < 0.0) {
     throw std::invalid_argument("transient_solve: negative time");
   }
-  TransientResult out = begin(op, p, opt);
-  Workspace ws;
-  advance(op, t, p, ws, opt, out);
-  finish(out);
-  return out;
-}
-
-TransientResult transient_solve_grid(const TransientOperator& op,
-                                     std::span<const real_t> t_grid,
-                                     std::span<real_t> p,
-                                     const CheckpointFn& on_checkpoint,
-                                     const TransientOptions& opt) {
-  CMESOLVE_TRACE_SPAN("solver.transient_grid");
-  real_t prev = 0.0;
-  for (const real_t t : t_grid) {
-    if (t < prev) {
-      throw std::invalid_argument(
-          "transient_solve_grid: t_grid must be ascending and non-negative");
+  validate(opt);
+  if (p.size() != static_cast<std::size_t>(op.n)) {
+    throw std::invalid_argument("transient_solve: p size mismatch");
+  }
+  real_t max_diag = 0.0;
+  for (const real_t d : op.diag) max_diag = std::max(max_diag, std::abs(d));
+  TransientResult out;
+  out.lambda = opt.lambda_margin * max_diag;
+  out.covered_mass = 1.0;
+  // Interval splitting: no sub-step carries a Poisson mean above
+  // max_step_mean. A zero mean (t == 0 or A == 0) leaves p as it is.
+  const real_t mean = out.lambda * t;
+  if (mean > 0.0) {
+    const auto splits = static_cast<std::uint64_t>(
+        std::max<real_t>(1.0, std::ceil(mean / opt.max_step_mean)));
+    const real_t dt = t / static_cast<real_t>(splits);
+    const real_t eps_step = opt.eps / static_cast<real_t>(splits);
+    Workspace ws;
+    for (std::uint64_t s = 0; s < splits; ++s) {
+      if (!uniformize_step(op, dt, eps_step, p, ws, opt, out)) break;
     }
-    prev = t;
   }
-  TransientResult out = begin(op, p, opt);
-  Workspace ws;
-  prev = 0.0;
-  for (std::size_t i = 0; i < t_grid.size(); ++i) {
-    advance(op, t_grid[i] - prev, p, ws, opt, out);
-    prev = t_grid[i];
-    // A budget-cut advance leaves p mid-series (or untouched when the cut
-    // landed before the Poisson bulk): it is NOT P(t_grid[i]), so the
-    // checkpoint is withheld rather than delivered with stale content.
-    if (out.truncated_early) break;
-    if (on_checkpoint && !on_checkpoint(i, p)) break;
-  }
-  finish(out);
+
+  obs::flight("transient.stop", obs::FlightKind::kStop, out.steps,
+              out.truncated_early ? 0.0 : 1.0);
+  obs::count("transient.solves");
+  obs::gauge("transient.matvecs", static_cast<real_t>(out.matvecs));
+  obs::gauge("transient.steps", static_cast<real_t>(out.steps));
+  obs::observe("transient.covered_mass", out.covered_mass);
   return out;
 }
 

@@ -76,29 +76,39 @@ void parallel_tasks(int ntasks, const std::function<void(int)>& task);
 /// chunk ends at n). A fixed-chunk reduction fused into the loop body — see
 /// solver/sweep_epilogue.hpp — then sees each of its `align`-row chunks
 /// walked in index order by one task. `grain` is a minimum chunk size;
-/// chunks may be larger when n is big.
+/// chunks may be larger when n is big. When there are more chunks than
+/// threads, their count is a multiple of the thread count, so every thread
+/// can take the same number of chunks.
 template <class Fn>
 void parallel_for_aligned(std::size_t n, std::size_t align, Fn&& fn,
                           std::size_t grain = 4096) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   if (align == 0) align = 1;
-  const int t = max_threads();
+  const auto t = static_cast<std::size_t>(max_threads());
   // Cap the chunk count: element-wise loops do not need fine-grained
   // balancing, and fewer chunks means fewer std::function dispatches.
-  const std::size_t min_grain =
-      n / (8 * static_cast<std::size_t>(t) + 1) + 1;
+  const std::size_t min_grain = n / (8 * t + 1) + 1;
   std::size_t g = grain > min_grain ? grain : min_grain;
   g = (g + align - 1) / align * align;
-  const std::size_t nchunks = (n + g - 1) / g;
+  std::size_t nchunks = (n + g - 1) / g;
   if (nchunks <= 1 || t <= 1 || in_parallel_region()) {
     fn(std::size_t{0}, n);
     return;
   }
-  parallel_tasks(static_cast<int>(nchunks), [&](int c) {
-    const std::size_t b = static_cast<std::size_t>(c) * g;
-    const std::size_t e = b + g < n ? b + g : n;
-    fn(b, e);
+  // Chunk c spans align-blocks [c * blocks / nchunks, (c + 1) * blocks /
+  // nchunks): g rows each, the last one cut at n.
+  std::size_t blocks = nchunks * (g / align);
+  if (nchunks > t && nchunks % t != 0) {
+    // Spread every block over the largest multiple of t below nchunks. As
+    // n > (nchunks - 1) * g, each chunk still holds at least g rows.
+    nchunks -= nchunks % t;
+    blocks = (n + align - 1) / align;
+  }
+  parallel_tasks(static_cast<int>(nchunks), [&](int ci) {
+    const auto c = static_cast<std::size_t>(ci);
+    const std::size_t e = (c + 1) * blocks / nchunks * align;
+    fn(c * blocks / nchunks * align, e < n ? e : n);
   });
 }
 

@@ -932,8 +932,9 @@ class Verifier {
   // -- transient cross-check -----------------------------------------------
 
   /// Time-domain battery: uniformization vs Arnoldi expm(tA)v in L1 at
-  /// several horizons, the SIMD-dispatched stencil path vs the assembled
-  /// path, the semigroup property, the L1-contraction toward the
+  /// several horizons, the transient FSP loop's bound against the same
+  /// marginals, the SIMD-dispatched stencil path vs the assembled path,
+  /// the semigroup property, the L1-contraction toward the
   /// stationary landscape (monotonicity needs no mixing-time assumption),
   /// and — when the SSA oracle is also enabled — a chi-square gate between
   /// the solved time marginal and an endpoint histogram of independent SSA
@@ -966,6 +967,8 @@ class Verifier {
 
     std::vector<real_t> pu;
     std::vector<real_t> pk;
+    std::vector<real_t> horizons;
+    std::vector<std::vector<real_t>> marginals;  // uniformization P(t)
     real_t prev_station_dist = std::numeric_limits<real_t>::infinity();
     for (const real_t c : {0.5, 2.0, 8.0}) {
       const real_t t = c * base;
@@ -1016,7 +1019,10 @@ class Verifier {
         }
         prev_station_dist = station_dist;
       }
+      horizons.push_back(t);
+      marginals.push_back(pu);
     }
+    check_transient_fsp(horizons, marginals);
 
     // Semigroup: P(t1 + t2) == step(P(t1), t2).
     {
@@ -1110,6 +1116,79 @@ class Verifier {
                                 " between SSA endpoint histogram and the "
                                 "solved time marginal");
     }
+  }
+
+  /// The transient FSP loop against P(t) over the enumerated space at the
+  /// battery's horizons, with each engine.
+  void check_transient_fsp(const std::vector<real_t>& grid,
+                           const std::vector<std::vector<real_t>>& ref) {
+    ran("transient-fsp");
+    for (const auto engine : {fsp::TransientEngine::kUniformization,
+                              fsp::TransientEngine::kKrylov}) {
+      fsp::TransientFspOptions fo;
+      fo.tol = 1e-6;
+      fo.seed_states = 8;
+      fo.engine = engine;
+      fo.krylov.tol = 1e-13;
+      std::string why;
+      try {
+        why = transient_fsp_fault(
+            fsp::solve_transient(net_, sc_.initial, grid, fo), grid, ref,
+            fo.tol);
+      } catch (const std::exception& e) {
+        why = std::string("threw ") + e.what();
+      }
+      if (!why.empty()) {
+        fail("transient-fsp",
+             (engine == fsp::TransientEngine::kKrylov ? "krylov: "
+                                                      : "uniformization: ") +
+                 why);
+      }
+    }
+  }
+
+  /// What breaks the FSP guarantee in `r`, or "" when it holds: every
+  /// member is enumerated, every marginal covers the member set and is a
+  /// lower bound of P(t) within 1e-12 whose L1 distance stays within its
+  /// sink mass, and a converged answer meets tol.
+  std::string transient_fsp_fault(const fsp::TransientFspResult& r,
+                                  const std::vector<real_t>& grid,
+                                  const std::vector<std::vector<real_t>>& ref,
+                                  real_t tol) const {
+    if (r.truncated_early) return "an engine budget cut the solve";
+    if (r.converged && !(r.error_bound <= tol)) {
+      return "converged with bound " + fmt(r.error_bound);
+    }
+    std::vector<std::size_t> where;
+    for (index_t i = 0; i < r.space.size(); ++i) {
+      const index_t j = space_->find(r.space.state(i));
+      if (j < 0) return "member " + std::to_string(i) + " is not enumerated";
+      where.push_back(static_cast<std::size_t>(j));
+    }
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      const std::vector<real_t>& m = r.marginals[g];
+      const std::string at = " at t=" + fmt(grid[g]);
+      if (m.size() != where.size()) {
+        return std::to_string(m.size()) + " marginal entries for " +
+               std::to_string(where.size()) + " members" + at;
+      }
+      std::vector<real_t> off = ref[g];  // P(t) off the member set
+      real_t l1 = 0.0;
+      for (std::size_t i = 0; i < where.size(); ++i) {
+        if (m[i] > off[where[i]] + 1e-12) {
+          return "member " + std::to_string(i) + " holds " + fmt(m[i]) +
+                 " > P(t) = " + fmt(off[where[i]]) + at;
+        }
+        l1 += std::abs(m[i] - off[where[i]]);
+        off[where[i]] = 0.0;
+      }
+      for (const real_t v : off) l1 += v;
+      if (l1 > r.sink_mass[g] + 1e-10) {
+        return "L1 distance " + fmt(l1) + " exceeds the sink mass " +
+               fmt(r.sink_mass[g]) + at;
+      }
+    }
+    return {};
   }
 
   const Scenario& sc_;

@@ -1,11 +1,12 @@
 // Tests for the transient CME engines: uniformization (two-sided Poisson
-// window, interval splitting, checkpoint grids) and the Krylov expm(tA)v
-// propagator, plus their FSP front end and flight-recorder wiring.
+// window, interval splitting) and the Krylov expm(tA)v propagator, plus
+// their FSP front end and flight-recorder wiring.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/models.hpp"
@@ -187,48 +188,6 @@ TEST(Transient, IntervalSplittingMatchesSingleStep) {
   EXPECT_LE(l1_diff(single, split), 1e-10);
 }
 
-TEST(Transient, GridCheckpointsMatchIndividualSolves) {
-  ImmigrationDeath model;
-  const core::StateSpace space(model.net, core::State{0}, 1000);
-  const auto a = core::rate_matrix(space);
-  CsrOperator op(a);
-  const std::size_t n = static_cast<std::size_t>(a.nrows);
-
-  const std::vector<real_t> grid{0.25, 1.0, 2.5};
-  std::vector<std::vector<real_t>> checkpoints(grid.size());
-  std::vector<real_t> p(n, 0.0);
-  p[0] = 1.0;
-  const auto r = transient_solve_grid(
-      op, grid, p,
-      [&](std::size_t i, std::span<const real_t> pi) {
-        checkpoints[i].assign(pi.begin(), pi.end());
-        return true;
-      },
-      {});
-  EXPECT_FALSE(r.truncated_early);
-  ASSERT_EQ(checkpoints.back().size(), n);
-  // The in-place vector ends at the last grid point.
-  EXPECT_LE(l1_diff(p, checkpoints.back()), 0.0);
-
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::vector<real_t> direct(n, 0.0);
-    direct[0] = 1.0;
-    (void)transient_solve(op, grid[i], direct);
-    EXPECT_LE(l1_diff(checkpoints[i], direct), 1e-10) << "t=" << grid[i];
-  }
-}
-
-TEST(Transient, GridMustBeAscending) {
-  const auto a = two_state(1.0, 1.0);
-  CsrOperator op(a);
-  std::vector<real_t> p{1.0, 0.0};
-  const std::vector<real_t> bad{1.0, 0.5};
-  EXPECT_THROW(
-      (void)transient_solve_grid(
-          op, bad, p, [](std::size_t, std::span<const real_t>) { return true; }),
-      std::invalid_argument);
-}
-
 TEST(Transient, ImmigrationDeathMeanMatchesOde) {
   // d E[X]/dt = lambda - mu E[X]  =>  E[X](t) = (lambda/mu)(1 - e^{-mu t})
   // starting from X = 0 (buffer large enough that truncation is invisible).
@@ -360,29 +319,6 @@ TEST(Transient, MaxTermsCapRespected) {
   const auto r = transient_solve(op, 10.0, p, opt);
   EXPECT_TRUE(r.truncated_early);
   EXPECT_LE(r.matvecs, 5u);
-}
-
-// A budget-cut grid walk must not hand the caller checkpoints it never
-// computed: the segment that hit max_terms leaves p mid-series (or as the
-// untouched initial vector), so its checkpoint — and every later one — is
-// withheld rather than delivered with stale content.
-TEST(Transient, GridWithholdsCheckpointsAfterTruncation) {
-  const auto a = two_state(100.0, 100.0);
-  CsrOperator op(a);
-  std::vector<real_t> p{1.0, 0.0};
-  TransientOptions opt;
-  opt.max_terms = 5;  // cut inside the first segment
-  const std::vector<real_t> grid{1.0, 2.0, 10.0};
-  std::size_t delivered = 0;
-  const auto r = transient_solve_grid(
-      op, grid, p,
-      [&](std::size_t, std::span<const real_t>) {
-        ++delivered;
-        return true;
-      },
-      opt);
-  EXPECT_TRUE(r.truncated_early);
-  EXPECT_EQ(delivered, 0u);
 }
 
 // --- Krylov expm ------------------------------------------------------------
@@ -697,6 +633,40 @@ TEST(FspTransient, TruncatedKrylovReportsNoBound) {
   EXPECT_TRUE(std::isinf(res.error_bound));
   EXPECT_TRUE(res.marginals.back().empty());
   EXPECT_TRUE(std::isinf(res.sink_mass.back()));
+}
+
+// Callers index marginals by member. Whatever ends the loop — the round
+// budget, the state cap or convergence — the set it returns is the one the
+// marginals cover, and the last round propagated exactly that set.
+TEST(FspTransient, MarginalsCoverTheReturnedMemberSet) {
+  ImmigrationDeath model;
+  const std::vector<real_t> grid{0.5, 1.0, 1.5, 2.0};
+  for (const auto engine : {fsp::TransientEngine::kUniformization,
+                            fsp::TransientEngine::kKrylov}) {
+    fsp::TransientFspOptions base;
+    base.tol = 1e-8;
+    base.seed_states = 4;
+    base.engine = engine;
+    base.krylov.tol = 1e-13;
+    std::vector<fsp::TransientFspOptions> cases(4, base);
+    cases[0].max_rounds = 1;
+    cases[1].max_rounds = 2;
+    cases[2].max_states = 9;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)) +
+                   " case " + std::to_string(c));
+      const auto res =
+          fsp::solve_transient(model.net, core::State{0}, grid, cases[c]);
+      EXPECT_EQ(res.converged, c == 3);
+      EXPECT_FALSE(res.truncated_early);
+      ASSERT_FALSE(res.rounds.empty());
+      EXPECT_EQ(res.rounds.back().states, res.space.size());
+      ASSERT_EQ(res.marginals.size(), grid.size());
+      for (const std::vector<real_t>& m : res.marginals) {
+        EXPECT_EQ(m.size(), static_cast<std::size_t>(res.space.size()));
+      }
+    }
+  }
 }
 
 TEST(FspTransient, RejectsBadGridAndRoundBudget) {

@@ -2,12 +2,17 @@
 // table rendering, strict number parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/binomial.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -265,6 +270,60 @@ TEST(ParseNumber, EnvironmentValueParsesWholeOrNotAtAll) {
   ::setenv(name, "0.75", 1);
   EXPECT_EQ(util::env_number<double>(name), 0.75);
   ::unsetenv(name);
+}
+
+// --- parallel_for_aligned chunking -------------------------------------------
+
+/// The (begin, end) chunks of one parallel_for_aligned call, in row order.
+std::vector<std::pair<std::size_t, std::size_t>> chunks_of(std::size_t n,
+                                                           std::size_t align) {
+  std::mutex m;
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  util::parallel_for_aligned(n, align, [&](std::size_t b, std::size_t e) {
+    const std::lock_guard<std::mutex> lock(m);
+    out.emplace_back(b, e);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Chunks tile [0, n) in order, every interior boundary a multiple of
+/// `align`, every chunk but the last at least the 4,096-row grain.
+void expect_tiling(const std::vector<std::pair<std::size_t, std::size_t>>& c,
+                   std::size_t n, std::size_t align) {
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(c[i].first, next) << "chunk " << i;
+    EXPECT_EQ(c[i].first % align, 0u) << "chunk " << i;
+    if (i + 1 < c.size()) {
+      EXPECT_GE(c[i].second - c[i].first, 4096u) << "chunk " << i;
+    }
+    next = c[i].second;
+  }
+  EXPECT_EQ(next, n);
+}
+
+TEST(ParallelFor, ChunksSpreadEvenlyOverThreads) {
+  util::set_max_threads(4);
+  // Five grains on four threads run as four even chunks, not five grains
+  // with one thread doing two.
+  auto c = chunks_of(20'160, 1);
+  expect_tiling(c, 20'160, 1);
+  ASSERT_EQ(c.size(), 4u);
+  for (const auto& [b, e] : c) EXPECT_EQ(e - b, 5'040u);
+  // 33 chunks of the 8,449-row minimum become 32 of 8,712.
+  c = chunks_of(278'784, 1);
+  expect_tiling(c, 278'784, 1);
+  EXPECT_EQ(c.size(), 32u);
+  // A reduction-aligned loop keeps its boundaries on multiples of 8,192.
+  c = chunks_of(278'784, 8'192);
+  expect_tiling(c, 278'784, 8'192);
+  EXPECT_EQ(c.size() % 4, 0u);
+  // Fewer chunks than threads stay as they are.
+  c = chunks_of(12'000, 1);
+  expect_tiling(c, 12'000, 1);
+  EXPECT_EQ(c.size(), 3u);
+  util::set_max_threads(0);
 }
 
 }  // namespace
